@@ -19,6 +19,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -31,24 +32,39 @@ import (
 	"fssim/internal/workload"
 )
 
-func main() {
-	bench := flag.String("bench", "ab-rand", "benchmark name")
-	mode := flag.String("mode", "full", "simulation mode: full | apponly | accel")
-	strategy := flag.String("strategy", "statistical", "re-learning strategy for accel mode: bestmatch | eager | delayed | statistical")
-	scale := flag.Float64("scale", 1.0, "workload size multiplier")
-	l2 := flag.Int("l2", 0, "L2 size in bytes (0 = default 1MB)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	inorder := flag.Bool("inorder", false, "use the in-order core model")
-	nocache := flag.Bool("nocache", false, "disable the cache models (ideal memory)")
-	services := flag.Bool("services", false, "print the per-service report (accel mode)")
-	trace := flag.String("trace", "", "write every OS service interval as CSV to this file ('-' = stdout)")
-	tlb := flag.Bool("tlb", false, "enable TLB modeling (64-entry I/D TLBs, 30-cycle walks)")
-	prefetch := flag.Bool("prefetch", false, "enable the L2 next-line prefetcher")
-	warmDir := flag.String("warm-dir", "", "accel mode: import a persisted PLT snapshot from this directory before simulating, and persist the learned table after (empty = off)")
-	transferOn := flag.Bool("transfer", false, "accel mode with -warm-dir: when no exact snapshot exists, warm-start the PLT from the nearest transfer-eligible donor configuration instead")
-	sampleSpec := flag.String("sample", "", "stratified app-interval sampling spec: a preset ("+strings.Join(sample.PresetNames(), ", ")+") or key=value list (empty = every app interval detailed)")
-	list := flag.Bool("list", false, "list benchmarks and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one fssim invocation and returns its exit status: 0 on
+// success, 1 on a run error, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fssim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bench := fs.String("bench", "ab-rand", "benchmark name")
+	mode := fs.String("mode", "full", "simulation mode: full | apponly | accel")
+	strategy := fs.String("strategy", "statistical", "re-learning strategy for accel mode: bestmatch | eager | delayed | statistical")
+	scale := fs.Float64("scale", 1.0, "workload size multiplier")
+	l2 := fs.Int("l2", 0, "L2 size in bytes (0 = default 1MB)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	inorder := fs.Bool("inorder", false, "use the in-order core model")
+	nocache := fs.Bool("nocache", false, "disable the cache models (ideal memory)")
+	services := fs.Bool("services", false, "print the per-service report (accel mode)")
+	trace := fs.String("trace", "", "write every OS service interval as CSV to this file ('-' = stdout)")
+	tlb := fs.Bool("tlb", false, "enable TLB modeling (64-entry I/D TLBs, 30-cycle walks)")
+	prefetch := fs.Bool("prefetch", false, "enable the L2 next-line prefetcher")
+	warmDir := fs.String("warm-dir", "", "accel mode: import a persisted PLT snapshot from this directory before simulating, and persist the learned table after (empty = off)")
+	transferOn := fs.Bool("transfer", false, "accel mode with -warm-dir: when no exact snapshot exists, warm-start the PLT from the nearest transfer-eligible donor configuration instead")
+	sampleSpec := fs.String("sample", "", "stratified app-interval sampling spec: a preset ("+strings.Join(sample.PresetNames(), ", ")+") or key=value list (empty = every app interval detailed)")
+	list := fs.Bool("list", false, "list benchmarks and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...interface{}) int {
+		fmt.Fprintf(stderr, "fssim: "+format+"\n", args...)
+		return 1
+	}
 
 	if *list {
 		for _, name := range workload.Names() {
@@ -57,9 +73,9 @@ func main() {
 			if b.OSIntensive {
 				kind = "OS-heavy"
 			}
-			fmt.Printf("%-8s %s  %s\n", name, kind, b.Description)
+			fmt.Fprintf(stdout, "%-8s %s  %s\n", name, kind, b.Description)
 		}
-		return
+		return 0
 	}
 
 	opts := workload.DefaultOptions()
@@ -82,11 +98,11 @@ func main() {
 	}
 	var traceW *csv.Writer
 	if *trace != "" {
-		out := os.Stdout
+		out := stdout
 		if *trace != "-" {
 			f, err := os.Create(*trace)
 			if err != nil {
-				fail("%v", err)
+				return fail("%v", err)
 			}
 			defer f.Close()
 			out = f
@@ -117,7 +133,7 @@ func main() {
 	if *sampleSpec != "" {
 		spec, err := sample.ParseSpec(*sampleSpec)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		smp = sample.New(spec, opts.Machine.Seed)
 		opts.Sample = smp
@@ -141,12 +157,12 @@ func main() {
 		case "statistical":
 			params.Strategy = core.Statistical
 		default:
-			fail("unknown strategy %q", *strategy)
+			return fail("unknown strategy %q", *strategy)
 		}
 		acc = core.NewAccelerator(params)
 		opts.Sink = acc
 	default:
-		fail("unknown mode %q", *mode)
+		return fail("unknown mode %q", *mode)
 	}
 
 	// Warm start: import a compatible persisted PLT before simulating; a
@@ -182,14 +198,14 @@ func main() {
 				}
 			}
 			if prov == nil {
-				fmt.Fprintf(os.Stderr, "fssim: transfer: no eligible donor in %s; starting cold\n", *warmDir)
+				fmt.Fprintf(stderr, "fssim: transfer: no eligible donor in %s; starting cold\n", *warmDir)
 			}
 		}
 	}
 
 	res, err := workload.Run(*bench, opts)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if store != nil {
 		// Transferred tables save under a distinct learn address and carry the
@@ -217,24 +233,24 @@ func main() {
 			State:        acc.Export(),
 		}
 		if err := store.Save(snap); err != nil {
-			fmt.Fprintf(os.Stderr, "fssim: plt snapshot not saved: %v\n", err)
+			fmt.Fprintf(stderr, "fssim: plt snapshot not saved: %v\n", err)
 		}
 	}
 	host := res.Wall
 	st := res.Stats
 
-	fmt.Printf("benchmark        %s (%s mode, scale %.2f)\n", *bench, opts.Machine.Mode, *scale)
-	fmt.Printf("instructions     %d (user %d, OS %d = %.1f%%)\n",
+	fmt.Fprintf(stdout, "benchmark        %s (%s mode, scale %.2f)\n", *bench, opts.Machine.Mode, *scale)
+	fmt.Fprintf(stdout, "instructions     %d (user %d, OS %d = %.1f%%)\n",
 		st.Insts, st.UserInsts, st.OSInsts, 100*float64(st.OSInsts)/float64(st.Insts))
-	fmt.Printf("cycles           %d (IPC %.3f)\n", st.Cycles, st.IPC())
-	fmt.Printf("OS intervals     %d (context switches %d, timer ticks %d)\n",
+	fmt.Fprintf(stdout, "cycles           %d (IPC %.3f)\n", st.Cycles, st.IPC())
+	fmt.Fprintf(stdout, "OS intervals     %d (context switches %d, timer ticks %d)\n",
 		st.Intervals, res.Kernel.ContextSwitches(), res.Kernel.Ticks())
 	if opts.Machine.WithCaches {
 		l1i, l1d, l2r := st.MissRates()
-		fmt.Printf("miss rates       L1I %.3f%%  L1D %.3f%%  L2 %.3f%%  (DRAM %d)\n",
+		fmt.Fprintf(stdout, "miss rates       L1I %.3f%%  L1D %.3f%%  L2 %.3f%%  (DRAM %d)\n",
 			100*l1i, 100*l1d, 100*l2r, st.DRAM)
 	}
-	fmt.Printf("branches         %d lookups, %.2f%% mispredicted\n",
+	fmt.Fprintf(stdout, "branches         %d lookups, %.2f%% mispredicted\n",
 		st.BrLookups, 100*float64(st.BrMispreds)/float64(max64(st.BrLookups, 1)))
 	if acc != nil {
 		sum := acc.Summary()
@@ -242,33 +258,29 @@ func main() {
 		if warmed {
 			warmNote = " (warm-started)"
 		}
-		fmt.Printf("acceleration     coverage %.1f%% of %d invocations; %d clusters over %d services; %d re-learns; %d outliers%s\n",
+		fmt.Fprintf(stdout, "acceleration     coverage %.1f%% of %d invocations; %d clusters over %d services; %d re-learns; %d outliers%s\n",
 			100*sum.Coverage(), sum.Learned+sum.Predicted, sum.Clusters, sum.Services,
 			sum.Relearns, sum.Outliers, warmNote)
-		fmt.Printf("fast-forwarded   %d of %d instructions (%.1f%%)\n",
+		fmt.Fprintf(stdout, "fast-forwarded   %d of %d instructions (%.1f%%)\n",
 			st.EmuInsts, st.Insts, 100*float64(st.EmuInsts)/float64(st.Insts))
 		if prov != nil {
-			fmt.Printf("plt              %s (distance %.1f)\n", prov, prov.Distance)
+			fmt.Fprintf(stdout, "plt              %s (distance %.1f)\n", prov, prov.Distance)
 		}
 		if *services {
-			fmt.Println("\nservice          seen   clusters  predicted  outliers  relearns")
+			fmt.Fprintln(stdout, "\nservice          seen   clusters  predicted  outliers  relearns")
 			for _, row := range acc.Report() {
-				fmt.Printf("%-16s %-6d %-9d %-10d %-9d %d\n",
+				fmt.Fprintf(stdout, "%-16s %-6d %-9d %-10d %-9d %d\n",
 					row.Service, row.Seen, row.Clusters, row.Predicted, row.Outliers, row.Relearns)
 			}
 		}
 	}
 	if smp != nil {
 		rep := smp.Report()
-		fmt.Printf("sampling         %s\n", rep.Summary(st.Cycles))
+		fmt.Fprintf(stdout, "sampling         %s\n", rep.Summary(st.Cycles))
 	}
-	fmt.Printf("host time        %.2fs (%.0f ns/inst)\n",
+	fmt.Fprintf(stdout, "host time        %.2fs (%.0f ns/inst)\n",
 		host.Seconds(), float64(host.Nanoseconds())/float64(st.Insts))
-}
-
-func fail(format string, args ...interface{}) {
-	fmt.Fprintf(os.Stderr, "fssim: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }
 
 func max64(a, b uint64) uint64 {

@@ -227,17 +227,20 @@ type ServiceReport struct {
 	OutlierRate float64
 }
 
-// Report returns per-service rows sorted by invocation count (descending).
+// Report returns per-service rows sorted by invocation count (descending),
+// ties in first-seen order.
 func (a *Accelerator) Report() []ServiceReport {
 	out := make([]ServiceReport, 0, len(a.learners))
-	for _, l := range a.learners {
+	for _, svc := range a.order {
+		l := a.learners[svc]
 		out = append(out, ServiceReport{
 			Service: l.Svc, Seen: l.seen, Clusters: len(l.Table.Clusters),
 			Predicted: l.Predicted, Outliers: l.Outliers, Relearns: l.Relearns,
 			Degrades: l.Degrades, Phase: l.Phase(), OutlierRate: l.OutlierRate(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seen > out[j].Seen })
+	// Stable over first-seen order, so ties print the same way on every run.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Seen > out[j].Seen })
 	return out
 }
 
