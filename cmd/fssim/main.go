@@ -24,11 +24,10 @@ import (
 	"strconv"
 	"strings"
 
-	"fssim/internal/core"
+	"fssim"
+	"fssim/internal/experiments"
 	"fssim/internal/machine"
-	"fssim/internal/pltstore"
 	"fssim/internal/sample"
-	"fssim/internal/transfer"
 	"fssim/internal/workload"
 )
 
@@ -61,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	fail := func(format string, args ...interface{}) int {
-		fmt.Fprintf(stderr, "fssim: "+format+"\n", args...)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "fssim: %v\n", err)
 		return 1
 	}
 
@@ -78,40 +77,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	opts := workload.DefaultOptions()
-	opts.Scale = *scale
-	opts.Machine.Seed = *seed
-	if *l2 > 0 {
-		opts.Machine.Mem = opts.Machine.Mem.WithL2Size(*l2)
+	m, err := experiments.ParseMode(*mode)
+	if err != nil {
+		return fail(err)
 	}
-	if *inorder {
-		opts.Machine.Core = machine.CoreInOrder
+	strat, err := experiments.ParseStrategy(*strategy)
+	if err != nil {
+		return fail(err)
 	}
-	if *nocache {
-		opts.Machine.WithCaches = false
+	o := fssim.Options{
+		Mode: m, Strategy: strat, Scale: *scale, L2Size: *l2, Seed: *seed,
+		InOrder: *inorder, NoCaches: *nocache, TLB: *tlb, Prefetch: *prefetch,
+		Sample: *sampleSpec, WarmDir: *warmDir, Transfer: *transferOn,
 	}
-	if *tlb {
-		opts.Machine.Mem = opts.Machine.Mem.WithTLB()
+	if err := o.Validate(); err != nil {
+		fmt.Fprintf(stderr, "fssim: %v\n", err)
+		return 2
 	}
-	if *prefetch {
-		opts.Machine.Mem = opts.Machine.Mem.WithPrefetch()
-	}
-	var traceW *csv.Writer
 	if *trace != "" {
 		out := stdout
 		if *trace != "-" {
 			f, err := os.Create(*trace)
 			if err != nil {
-				return fail("%v", err)
+				return fail(err)
 			}
 			defer f.Close()
 			out = f
 		}
-		traceW = csv.NewWriter(out)
+		traceW := csv.NewWriter(out)
 		defer traceW.Flush()
 		traceW.Write([]string{"service", "insts", "loads", "stores",
 			"branches", "cycles", "emulated", "l1d_misses", "l2_misses"})
-		opts.Observer = func(r machine.IntervalRecord) {
+		o.Observer = func(r machine.IntervalRecord) {
 			row := []string{
 				r.Service.String(),
 				strconv.FormatUint(r.Insts, 10),
@@ -129,133 +126,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 			traceW.Write(row)
 		}
 	}
-	var smp *sample.Sampler
-	if *sampleSpec != "" {
-		spec, err := sample.ParseSpec(*sampleSpec)
-		if err != nil {
-			return fail("%v", err)
-		}
-		smp = sample.New(spec, opts.Machine.Seed)
-		opts.Sample = smp
-	}
-	var acc *core.Accelerator
-	switch *mode {
-	case "full":
-		opts.Machine.Mode = machine.FullSystem
-	case "apponly":
-		opts.Machine.Mode = machine.AppOnly
-	case "accel":
-		opts.Machine.Mode = machine.Accelerated
-		params := core.DefaultParams()
-		switch *strategy {
-		case "bestmatch":
-			params.Strategy = core.BestMatch
-		case "eager":
-			params.Strategy = core.Eager
-		case "delayed":
-			params.Strategy = core.Delayed
-		case "statistical":
-			params.Strategy = core.Statistical
-		default:
-			return fail("unknown strategy %q", *strategy)
-		}
-		acc = core.NewAccelerator(params)
-		opts.Sink = acc
-	default:
-		return fail("unknown mode %q", *mode)
-	}
 
-	// Warm start: import a compatible persisted PLT before simulating; a
-	// stale, mismatched or corrupt snapshot silently stays cold. With
-	// -transfer, a cold start first tries the nearest eligible donor from a
-	// *neighbor* configuration, rescaled into low-confidence priors; an
-	// ineligible or missing donor is reported and the run stays cold — a
-	// transfer is never silent.
-	var store *pltstore.Store
-	var learnHash uint64
-	warmed := false
-	var prov *transfer.Provenance
-	if acc != nil && *warmDir != "" {
-		store = pltstore.Open(*warmDir)
-		params := acc.Export().Params
-		learnHash = pltstore.LearnHash(*bench, opts.Machine, params, opts.Scale, "")
-		if snap, err := store.Load(*bench, learnHash); err == nil {
-			warmed = acc.Import(snap.State) == nil
-		}
-		if !warmed && *transferOn {
-			family := transfer.FamilyHash(*bench, opts.Machine, params, opts.Scale, "")
-			recip := transfer.FromConfig(opts.Machine)
-			if donor, dist, err := store.Nearest(family, recip); err == nil {
-				model := transfer.FitAnalytic(donor.Coords, recip)
-				if prior, rerr := transfer.Rescale(donor.State, model, params); rerr == nil && acc.Import(prior) == nil {
-					prov = &transfer.Provenance{
-						DonorBench: donor.Benchmark,
-						DonorAddr:  pltstore.FormatHash(donor.Family) + "/" + pltstore.FormatHash(donor.LearnHash),
-						Distance:   dist,
-						Scale:      model.L2M,
-						Hash:       transfer.TransferHash(donor.LearnHash, model),
-					}
-				}
-			}
-			if prov == nil {
-				fmt.Fprintf(stderr, "fssim: transfer: no eligible donor in %s; starting cold\n", *warmDir)
-			}
-		}
-	}
-
-	res, err := workload.Run(*bench, opts)
+	rep, err := fssim.RunBenchmark(*bench, o)
 	if err != nil {
-		return fail("%v", err)
+		return fail(err)
 	}
-	if store != nil {
-		// Transferred tables save under a distinct learn address and carry the
-		// TransferHash trailer, so they never overwrite — or later pose as —
-		// the cold-learned table of the same configuration (transferred
-		// snapshots are not donor-eligible: priors must not chain).
-		params := acc.Export().Params
-		runKey := "fssim:" + *bench
-		saveLearn, xferHash := learnHash, uint64(0)
-		replay := pltstore.ReplayHash(learnHash, runKey, opts.Machine.Seed)
-		if prov != nil {
-			saveLearn = pltstore.LearnHashWith(*bench, opts.Machine, params, opts.Scale, "", "store")
-			xferHash = prov.Hash
-			replay = pltstore.TransferReplayHash(saveLearn, runKey, opts.Machine.Seed, prov.Hash)
-		}
-		snap := &pltstore.Snapshot{
-			LearnHash:    saveLearn,
-			ReplayHash:   replay,
-			Benchmark:    *bench,
-			Key:          runKey,
-			Family:       transfer.FamilyHash(*bench, opts.Machine, params, opts.Scale, ""),
-			TransferHash: xferHash,
-			Coords:       transfer.FromConfig(opts.Machine),
-			Stats:        res.Stats,
-			State:        acc.Export(),
-		}
-		if err := store.Save(snap); err != nil {
-			fmt.Fprintf(stderr, "fssim: plt snapshot not saved: %v\n", err)
-		}
+	if o.Transfer && !rep.WarmStarted && rep.Transfer == nil {
+		fmt.Fprintf(stderr, "fssim: transfer: no eligible donor in %s; starting cold\n", *warmDir)
 	}
-	host := res.Wall
-	st := res.Stats
+	if rep.SaveErr != nil {
+		fmt.Fprintf(stderr, "fssim: plt snapshot not saved: %v\n", rep.SaveErr)
+	}
+	st := rep.Stats
 
-	fmt.Fprintf(stdout, "benchmark        %s (%s mode, scale %.2f)\n", *bench, opts.Machine.Mode, *scale)
+	fmt.Fprintf(stdout, "benchmark        %s (%s mode, scale %.2f)\n", *bench, m, *scale)
 	fmt.Fprintf(stdout, "instructions     %d (user %d, OS %d = %.1f%%)\n",
 		st.Insts, st.UserInsts, st.OSInsts, 100*float64(st.OSInsts)/float64(st.Insts))
 	fmt.Fprintf(stdout, "cycles           %d (IPC %.3f)\n", st.Cycles, st.IPC())
 	fmt.Fprintf(stdout, "OS intervals     %d (context switches %d, timer ticks %d)\n",
-		st.Intervals, res.Kernel.ContextSwitches(), res.Kernel.Ticks())
-	if opts.Machine.WithCaches {
+		st.Intervals, rep.Kernel.ContextSwitches(), rep.Kernel.Ticks())
+	if !*nocache {
 		l1i, l1d, l2r := st.MissRates()
 		fmt.Fprintf(stdout, "miss rates       L1I %.3f%%  L1D %.3f%%  L2 %.3f%%  (DRAM %d)\n",
 			100*l1i, 100*l1d, 100*l2r, st.DRAM)
 	}
 	fmt.Fprintf(stdout, "branches         %d lookups, %.2f%% mispredicted\n",
-		st.BrLookups, 100*float64(st.BrMispreds)/float64(max64(st.BrLookups, 1)))
-	if acc != nil {
+		st.BrLookups, 100*float64(st.BrMispreds)/float64(max(st.BrLookups, 1)))
+	if acc := rep.Accel; acc != nil {
 		sum := acc.Summary()
 		warmNote := ""
-		if warmed {
+		if rep.WarmStarted {
 			warmNote = " (warm-started)"
 		}
 		fmt.Fprintf(stdout, "acceleration     coverage %.1f%% of %d invocations; %d clusters over %d services; %d re-learns; %d outliers%s\n",
@@ -263,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sum.Relearns, sum.Outliers, warmNote)
 		fmt.Fprintf(stdout, "fast-forwarded   %d of %d instructions (%.1f%%)\n",
 			st.EmuInsts, st.Insts, 100*float64(st.EmuInsts)/float64(st.Insts))
-		if prov != nil {
+		if prov := rep.Transfer; prov != nil {
 			fmt.Fprintf(stdout, "plt              %s (distance %.1f)\n", prov, prov.Distance)
 		}
 		if *services {
@@ -274,18 +174,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if smp != nil {
-		rep := smp.Report()
-		fmt.Fprintf(stdout, "sampling         %s\n", rep.Summary(st.Cycles))
+	if rep.Sample != nil {
+		fmt.Fprintf(stdout, "sampling         %s\n", rep.Sample.Summary(st.Cycles))
 	}
 	fmt.Fprintf(stdout, "host time        %.2fs (%.0f ns/inst)\n",
-		host.Seconds(), float64(host.Nanoseconds())/float64(st.Insts))
+		rep.Wall.Seconds(), float64(rep.Wall.Nanoseconds())/float64(st.Insts))
 	return 0
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -15,9 +15,8 @@ import (
 	"fmt"
 	"os"
 
+	"fssim"
 	"fssim/internal/core"
-	"fssim/internal/machine"
-	"fssim/internal/workload"
 )
 
 func main() {
@@ -31,11 +30,7 @@ func main() {
 	flag.Parse()
 
 	prof := core.NewProfiler()
-	opts := workload.DefaultOptions()
-	opts.Scale = *scale
-	opts.Machine.Mode = machine.FullSystem
-	opts.Observer = prof.Observer()
-	if _, err := workload.Run(*bench, opts); err != nil {
+	if _, err := fssim.RunBenchmark(*bench, fssim.Options{Scale: *scale, Observer: prof.Observer()}); err != nil {
 		fmt.Fprintf(os.Stderr, "oschar: %v\n", err)
 		os.Exit(1)
 	}

@@ -46,7 +46,9 @@ package fssim
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"time"
 
 	"fssim/internal/core"
 	"fssim/internal/experiments"
@@ -57,6 +59,7 @@ import (
 	"fssim/internal/sample"
 	"fssim/internal/server"
 	"fssim/internal/trace"
+	"fssim/internal/transfer"
 	"fssim/internal/workload"
 )
 
@@ -127,6 +130,10 @@ type (
 	Tracer = trace.Recorder
 	// ServiceTotal aggregates every recorded interval of one OS service.
 	ServiceTotal = trace.ServiceTotal
+
+	// Provenance describes an applied cross-config PLT transfer: the donor
+	// snapshot, its parameter distance and the headline L2 miss-scale factor.
+	Provenance = transfer.Provenance
 )
 
 // Options configures a simulation run.
@@ -134,8 +141,9 @@ type Options struct {
 	// Mode selects full-system (default), application-only, or accelerated
 	// simulation.
 	Mode machine.SimMode
-	// Strategy selects the re-learning policy for Accelerated mode
-	// (default Statistical, the paper's choice).
+	// Strategy selects the re-learning policy for Accelerated mode. The
+	// zero value is BestMatch; the paper's choice, and the CLI and server
+	// default, is Statistical.
 	Strategy Strategy
 	// Scale multiplies workload sizes (default 1.0).
 	Scale float64
@@ -168,6 +176,13 @@ type Options struct {
 	// snapshot is ignored and the run starts cold; it never produces a wrong
 	// prediction. Empty disables persistence.
 	WarmDir string
+	// Transfer, for an Accelerated run with WarmDir, warm-starts the PLT
+	// from the nearest transfer-eligible donor in WarmDir — a neighbor
+	// configuration of the same sweep family, rescaled into low-confidence
+	// priors — when no exact snapshot exists (Report.Transfer). With no
+	// eligible donor the run starts cold. The learned table is saved under
+	// its own address, so it never overwrites or poses as a cold-learned one.
+	Transfer bool
 	// Observer, if set, receives every completed OS service interval.
 	Observer func(IntervalRecord)
 	// Trace, if set, records every OS service interval plus the kernel's and
@@ -239,6 +254,14 @@ type Report struct {
 	// Options.WarmDir before simulating (false for cold starts, including
 	// every run whose snapshot was absent, stale or corrupt).
 	WarmStarted bool
+	// Transfer is the provenance of the donor priors an Options.Transfer run
+	// imported (nil when it found no eligible donor, or did not transfer).
+	Transfer *Provenance
+	// SaveErr is non-nil when RunBenchmark could not persist the learned
+	// table to Options.WarmDir; the run itself still succeeded.
+	SaveErr error
+	// Wall is the host wall-clock time RunBenchmark's simulation took.
+	Wall time.Duration
 	// Err is non-nil when the run ended abnormally (a guest-thread panic
 	// captured by the kernel scheduler, or a cancellation); Stats then cover
 	// the simulated prefix.
@@ -267,24 +290,41 @@ func Benchmarks() []string { return workload.Names() }
 // OSIntensiveBenchmarks returns the five OS-intensive workload names.
 func OSIntensiveBenchmarks() []string { return workload.OSIntensiveNames() }
 
+// Validate rejects option combinations no run can honor: Transfer needs
+// Accelerated mode and a WarmDir to find donors in.
+func (o Options) Validate() error {
+	if o.Transfer && o.WarmDir == "" {
+		return fmt.Errorf("transfer requires a warm dir (donor snapshots come from the warm store)")
+	}
+	if o.Transfer && o.Mode != machine.Accelerated {
+		return fmt.Errorf("transfer requires accelerated mode, got %s", o.Mode)
+	}
+	return nil
+}
+
 // RunBenchmark builds and runs one of the named evaluation workloads. With
 // Options.WarmDir set, an Accelerated run warm-starts from (and persists to)
 // the PLT snapshot store rooted there.
 func RunBenchmark(name string, o Options) (*Report, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	opts, acc, smp, err := o.toWorkload()
 	if err != nil {
 		return nil, err
 	}
+	rep := &Report{Accel: acc}
 	var store *pltstore.Store
-	var learn uint64
-	warmed := false
+	var id pltstore.Identity
 	if acc != nil && o.WarmDir != "" {
 		store = pltstore.Open(o.WarmDir)
 		// Export on the fresh accelerator yields the exact Params it was
 		// built with, so the hash gates on what this run would learn under.
-		learn = pltstore.LearnHash(name, opts.Machine, acc.Export().Params, opts.Scale, "")
-		if snap, err := store.Load(name, learn); err == nil {
-			warmed = acc.Import(snap.State) == nil
+		id = pltstore.Identity{Bench: name, Machine: opts.Machine, Params: acc.Export().Params,
+			Scale: opts.Scale, Key: "fssim:" + name, Seed: opts.Machine.Seed}
+		rep.WarmStarted, rep.Transfer = warmStart(store, id, acc, o.Transfer)
+		if rep.Transfer != nil {
+			id.Transfer = "store"
 		}
 	}
 	res, err := workload.Run(name, opts)
@@ -292,23 +332,38 @@ func RunBenchmark(name string, o Options) (*Report, error) {
 		return nil, err
 	}
 	if store != nil {
-		snap := &pltstore.Snapshot{
-			LearnHash:  learn,
-			ReplayHash: pltstore.ReplayHash(learn, "fssim:"+name, opts.Machine.Seed),
-			Benchmark:  name,
-			Key:        "fssim:" + name,
-			Stats:      res.Stats,
-			State:      acc.Export(),
-		}
 		// Best effort: an unwritable warm dir degrades persistence, not the run.
-		_ = store.Save(snap)
+		rep.SaveErr = store.Save(id.Snapshot(res.Stats, acc.Export(), rep.Transfer))
 	}
-	rep := &Report{Stats: res.Stats, Accel: acc, Machine: res.Machine, Kernel: res.Kernel, WarmStarted: warmed}
+	rep.Stats, rep.Machine, rep.Kernel, rep.Wall = res.Stats, res.Machine, res.Kernel, res.Wall
 	if smp != nil {
 		r := smp.Report()
 		rep.Sample = &r
 	}
 	return rep, nil
+}
+
+// warmStart imports the exact snapshot of id into acc. Failing that, with
+// xfer set, it imports priors rescaled from the nearest eligible donor in
+// the store and returns their provenance. A stale, mismatched or corrupt
+// snapshot, or no eligible donor, leaves acc cold.
+func warmStart(store *pltstore.Store, id pltstore.Identity, acc *core.Accelerator, xfer bool) (bool, *Provenance) {
+	if snap, err := store.Load(id.Bench, id.LearnHash()); err == nil && acc.Import(snap.State) == nil {
+		return true, nil
+	}
+	if !xfer {
+		return false, nil
+	}
+	recip := transfer.FromConfig(id.Machine)
+	donor, err := store.Nearest(id.Family(), recip)
+	if err != nil {
+		return false, nil
+	}
+	prior, prov, err := donor.TransferTo(recip, id.Params)
+	if err != nil || acc.Import(prior) != nil {
+		return false, nil
+	}
+	return false, prov
 }
 
 // System is an assembled simulated machine + OS awaiting custom workloads.

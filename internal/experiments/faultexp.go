@@ -43,9 +43,7 @@ func faultsVariants() []faultsVariant {
 // faultsKey builds the cache key for one variant's faulted accelerated run.
 func faultsKey(cfg Config, name string, v faultsVariant) RunKey {
 	k := cfg.accelKey(name, v.strategy, 0).withFaults(faultsPlan)
-	if v.watchdog {
-		k = k.withWatchdog()
-	}
+	k.Watchdog = v.watchdog
 	return k
 }
 

@@ -82,7 +82,7 @@ func TestCrashExplorerFlushWarm(t *testing.T) {
 	if n, err := s.FlushWarm(); err != nil || n != 1 {
 		t.Fatalf("FlushWarm = (%d, %v), want (1, nil)", n, err)
 	}
-	learn := warmLearnHash(key)
+	learn := key.identity().LearnHash()
 	snap, err := pltstore.OpenFS("warm", cfs).Load(key.Bench, learn)
 	if err != nil {
 		t.Fatalf("final snapshot unloadable: %v", err)

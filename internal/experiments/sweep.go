@@ -93,7 +93,7 @@ func SweepExp(cfg Config) (*Result, error) {
 		t.AddRowf(name, sizeLabel(sweepDonorL2), "-", "-",
 			fmt.Sprintf("%d", dDonor), "-", "-", "-", "donor")
 
-		donorCrd := transfer.FromConfig(machineConfigFor(donorKey))
+		donorCrd := transfer.FromConfig(donorKey.machine())
 		for i, l2 := range sweepPoints {
 			coldOut, err := getKey(cfg, coldKeys[i])
 			if err != nil {
@@ -103,7 +103,7 @@ func SweepExp(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			dist := transfer.Distance(donorCrd, transfer.FromConfig(machineConfigFor(warmKeys[i])))
+			dist := transfer.Distance(donorCrd, transfer.FromConfig(warmKeys[i].machine()))
 			dc := coldOut.res.Stats.Intervals - coldOut.res.Stats.Emulated
 			dw := warmOut.res.Stats.Intervals - warmOut.res.Stats.Emulated
 			speedup := fmt.Sprintf("%.1fx", float64(dc)/float64(dw))

@@ -31,12 +31,7 @@ func (s *Scheduler) TracedRuns() []TracedRun {
 // still executing when ctx expires are omitted rather than blocking a drain
 // forever. With an unexpired ctx the listing is identical to TracedRuns.
 func (s *Scheduler) TracedRunsCtx(ctx context.Context) []TracedRun {
-	s.mu.Lock()
-	entries := make(map[RunKey]*runEntry, len(s.runs))
-	for k, e := range s.runs {
-		entries[k] = e
-	}
-	s.mu.Unlock()
+	entries := s.entries()
 
 	out := make([]TracedRun, 0, len(entries))
 	collect := func(k RunKey, e *runEntry) {

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"fssim/internal/core"
-	"fssim/internal/faults"
 	"fssim/internal/pltstore"
+	"fssim/internal/transfer"
 	"fssim/internal/workload"
 )
 
@@ -44,27 +44,6 @@ func warmstartNeeds(cfg Config) []RunKey {
 	return keys
 }
 
-// warmstartOpts rebuilds the exact workload options the scheduler would use
-// for key (executeOnce's first attempt), so the experiment's direct
-// simulations are the same deterministic runs the memo cache holds.
-func warmstartOpts(cfg Config, key RunKey) (workload.Options, error) {
-	opts := workload.DefaultOptions()
-	opts.Scale = key.Scale
-	opts.Machine = machineConfigFor(key)
-	if key.Faults != "" {
-		spec, err := faults.Named(key.Faults)
-		if err != nil {
-			return opts, err
-		}
-		plan := faults.NewPlan(key.Seed, spec.Scaled(key.Scale))
-		opts.Prepare = plan.Install
-	}
-	if done := cfg.context().Done(); done != nil {
-		opts.Cancel = done
-	}
-	return opts, nil
-}
-
 // WarmstartExp runs the persistence study: cold vs warm coverage, the
 // detailed-interval work a warm start avoids, the learning it skips, and the
 // cluster-parity invariant between a continuous and a snapshot-restored run.
@@ -86,15 +65,10 @@ func WarmstartExp(cfg Config) (*Result, error) {
 		state := acc.Export()
 
 		// Persist through the real codec: state -> snapshot bytes -> state.
-		learn := warmLearnHash(key)
-		snap := &pltstore.Snapshot{
-			LearnHash:  learn,
-			ReplayHash: pltstore.ReplayHash(learn, key.String(), key.DeriveSeed()),
-			Benchmark:  key.Bench,
-			Key:        key.String(),
-			Stats:      cold.Stats,
-			State:      state,
-		}
+		snap := key.identity().Snapshot(cold.Stats, state, nil)
+		// The snapshot stays in memory and never donates, so it carries no
+		// sweep trailer.
+		snap.Family, snap.Coords = 0, transfer.Coords{}
 		data := pltstore.Encode(snap)
 		snapBytes += len(data)
 		restored, err := pltstore.Decode(data)
@@ -118,10 +92,11 @@ func WarmstartExp(cfg Config) (*Result, error) {
 		if err := warmAcc.Import(restored.State); err != nil {
 			return nil, fmt.Errorf("warmstart: %s: import of decoded state: %w", name, err)
 		}
-		opts, err := warmstartOpts(cfg, key)
+		opts, err := key.options(0)
 		if err != nil {
 			return nil, err
 		}
+		opts.Cancel = cfg.context().Done()
 		contOpts, warmOpts := opts, opts
 		contOpts.Sink = contAcc
 		warmOpts.Sink = warmAcc

@@ -456,14 +456,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"error":%q}`+"\n", err.Error())
 		return
 	}
-	spec, err := req.Spec(rt.cfg.Scale, rt.cfg.Seed)
+	key, err := req.Spec(rt.cfg.Scale, rt.cfg.Seed)
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusBadRequest)
 		fmt.Fprintf(w, `{"error":%q}`+"\n", err.Error())
 		return
 	}
-	id := server.RunID(spec.Key())
+	id := server.RunID(key)
 
 	if rt.cfg.Local != nil && rt.belowQuorum() {
 		rt.serveLocal(w, r, body)

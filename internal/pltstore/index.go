@@ -51,6 +51,12 @@ type IndexEntry struct {
 // bookkeeping.
 func (e IndexEntry) Addr() string { return e.Benchmark + "/" + e.LearnHash }
 
+// indexEntry is the index record of a verified snapshot of size bytes.
+func indexEntry(snap *Snapshot, size int) IndexEntry {
+	return IndexEntry{Benchmark: snap.Benchmark, LearnHash: FormatHash(snap.LearnHash),
+		Family: FormatHash(snap.Family), Size: int64(size)}
+}
+
 // FormatHash renders a learn hash the way IndexEntry carries it.
 func FormatHash(h uint64) string { return fmt.Sprintf("%016x", h) }
 
@@ -192,25 +198,15 @@ func (s *Store) Index() ([]IndexEntry, error) {
 	var out []IndexEntry
 	for _, name := range names {
 		p := filepath.Join(s.dir, name)
+		// Only what Load would accept is advertised: a transplanted,
+		// corrupt or invalid file is not.
 		data, err := s.fsys.ReadFile(p)
-		if err != nil || int64(len(data)) > MaxSnapshotBytes {
+		if err != nil {
 			continue
 		}
-		snap, err := Decode(data)
-		if err != nil || snap.Validate() != nil {
-			continue
+		if snap, err := s.verify(p, data); err == nil {
+			out = append(out, indexEntry(snap, len(data)))
 		}
-		// The filename must agree with the self-described identity, exactly
-		// as Load enforces; a transplanted file is not advertised.
-		if s.Path(snap.Benchmark, snap.LearnHash) != p {
-			continue
-		}
-		out = append(out, IndexEntry{
-			Benchmark: snap.Benchmark,
-			LearnHash: FormatHash(snap.LearnHash),
-			Family:    FormatHash(snap.Family),
-			Size:      int64(len(data)),
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr() < out[j].Addr() })
 	s.idxMu.Lock()
@@ -230,33 +226,21 @@ func (s *Store) Index() ([]IndexEntry, error) {
 // the durable atomic path (temp → fsync → rename → dir fsync), so what
 // lands on disk is exactly what was checked, even across a crash.
 func (s *Store) PutVerified(bench string, learnHash uint64, data []byte) (*Snapshot, error) {
-	if int64(len(data)) > MaxSnapshotBytes {
-		return nil, fmt.Errorf("%w: %d bytes > %d", ErrOversize, len(data), MaxSnapshotBytes)
-	}
-	snap, err := Decode(data)
+	path := s.Path(bench, learnHash)
+	snap, err := s.verify(path, data)
 	if err != nil {
 		return nil, err
 	}
-	if snap.Benchmark != bench || snap.LearnHash != learnHash {
-		return nil, fmt.Errorf("%w: fetched bytes describe %s/%s, wanted %s/%s",
-			ErrMismatch, snap.Benchmark, FormatHash(snap.LearnHash), bench, FormatHash(learnHash))
-	}
-	if err := snap.Validate(); err != nil {
-		return nil, err
+	if snap.Benchmark != bench {
+		return nil, fmt.Errorf("%w: fetched bytes describe %s, wanted %s", ErrMismatch, snap.Benchmark, bench)
 	}
 	if s.swept.CompareAndSwap(false, true) {
 		s.sweepOrphans()
 	}
-	path := s.Path(bench, learnHash)
 	if err := durable.AtomicWrite(s.writeFS(), s.dir, filepath.Base(path), data); err != nil {
 		return nil, fmt.Errorf("pltstore: %w", err)
 	}
-	s.updateIndex(IndexEntry{
-		Benchmark: bench,
-		LearnHash: FormatHash(learnHash),
-		Family:    FormatHash(snap.Family),
-		Size:      int64(len(data)),
-	})
+	s.updateIndex(indexEntry(snap, len(data)))
 	return snap, nil
 }
 

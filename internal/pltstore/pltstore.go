@@ -176,6 +176,110 @@ func TransferReplayHash(learnHash uint64, key string, seed int64, transferHash u
 	return h.Sum64()
 }
 
+// Identity is everything a snapshot's addresses are derived from: the
+// configuration its learned table depends on, the transfer directive the run
+// carried, and the exact run it records. Every writer builds its snapshots
+// through Identity.Snapshot, so a table saved by one front-end is found by
+// every other.
+type Identity struct {
+	Bench    string
+	Machine  machine.Config // the run's machine config (its seed is ignored)
+	Params   core.Params
+	Scale    float64
+	Faults   string // faults.Named plan ("" = none)
+	Transfer string // the run's transfer directive ("" = cold start)
+	Key      string // the producing run's key string
+	Seed     int64  // the run's machine seed
+}
+
+// LearnHash is the identity's snapshot address (see LearnHashWith).
+func (id Identity) LearnHash() uint64 {
+	return LearnHashWith(id.Bench, id.Machine, id.Params, id.Scale, id.Faults, id.Transfer)
+}
+
+// ReplayHash is the identity's exact-replay address. A run that imported
+// donor priors binds their provenance hash too (TransferReplayHash).
+func (id Identity) ReplayHash(prov *transfer.Provenance) uint64 {
+	if prov != nil {
+		return TransferReplayHash(id.LearnHash(), id.Key, id.Seed, prov.Hash)
+	}
+	return ReplayHash(id.LearnHash(), id.Key, id.Seed)
+}
+
+// Family is the identity's sweep-family address (transfer.FamilyHash).
+func (id Identity) Family() uint64 {
+	return transfer.FamilyHash(id.Bench, id.Machine, id.Params, id.Scale, id.Faults)
+}
+
+// Snapshot builds the snapshot one successful run persists: alongside the
+// learned state and statistics it records the sweep family and swept
+// coordinates that make it discoverable as a transfer donor, and — for a
+// run that imported priors (prov non-nil) — the TransferHash trailer that
+// both marks the table as transferred (ineligible to donate further) and
+// binds its replay address to the exact donor and model imported.
+func (id Identity) Snapshot(stats machine.Stats, state *core.AccelState, prov *transfer.Provenance) *Snapshot {
+	snap := &Snapshot{
+		LearnHash:  id.LearnHash(),
+		ReplayHash: id.ReplayHash(prov),
+		Family:     id.Family(),
+		Coords:     transfer.FromConfig(id.Machine),
+		Benchmark:  id.Bench,
+		Key:        id.Key,
+		Stats:      stats,
+		State:      state,
+	}
+	if prov != nil {
+		snap.TransferHash = prov.Hash
+	}
+	return snap
+}
+
+// TransferTo rescales the snapshot's learned state into priors for a
+// recipient at coordinates recip learning under params, and returns them
+// with the provenance of the import. It fails when the donor is beyond
+// transfer.MaxDistance, or with Rescale's error.
+func (s *Snapshot) TransferTo(recip transfer.Coords, params core.Params) (*core.AccelState, *transfer.Provenance, error) {
+	dist := transfer.Distance(s.Coords, recip)
+	if !transfer.Eligible(dist) {
+		return nil, nil, fmt.Errorf("pltstore: donor at distance %.2f is beyond the transfer cutoff %g",
+			dist, transfer.MaxDistance)
+	}
+	model := transfer.FitAnalytic(s.Coords, recip)
+	prior, err := transfer.Rescale(s.State, model, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	return prior, &transfer.Provenance{
+		DonorBench: s.Benchmark,
+		DonorAddr:  FormatHash(s.Family) + "/" + FormatHash(s.LearnHash),
+		Distance:   dist,
+		Scale:      model.L2M,
+		Hash:       transfer.TransferHash(s.LearnHash, model),
+	}, nil
+}
+
+// NearestDonor returns the closest transfer-eligible donor among snaps for a
+// recipient in the given sweep family at coordinates recip: among snapshots
+// whose Family matches, whose provenance is cold-learned (TransferHash 0 —
+// transferred tables never donate, so priors cannot chain and compound model
+// error), and whose distance is within transfer.MaxDistance, the
+// minimum-distance one. Ties keep the earliest in snaps, so a caller passing
+// path-sorted snapshots gets a deterministic choice. It returns nil when no
+// snapshot is eligible.
+func NearestDonor(snaps []*Snapshot, family uint64, recip transfer.Coords) *Snapshot {
+	var best *Snapshot
+	bestDist := math.Inf(1)
+	for _, snap := range snaps {
+		if snap.Family != family || snap.TransferHash != 0 {
+			continue
+		}
+		if d := transfer.Distance(snap.Coords, recip); transfer.Eligible(d) && d < bestDist {
+			best, bestDist = snap, d
+		}
+	}
+	return best
+}
+
 // Store is a directory of snapshot files, one per (benchmark, learn-hash)
 // address. The zero Store is unusable; build with Open (or OpenFS to inject
 // a filesystem — tests use durable.CrashFS to explore crash states). A
@@ -324,12 +428,7 @@ func (s *Store) Save(snap *Snapshot) error {
 	if err := durable.AtomicWrite(s.writeFS(), s.dir, filepath.Base(path), data); err != nil {
 		return fmt.Errorf("pltstore: %w", err)
 	}
-	s.updateIndex(IndexEntry{
-		Benchmark: snap.Benchmark,
-		LearnHash: FormatHash(snap.LearnHash),
-		Family:    FormatHash(snap.Family),
-		Size:      int64(len(data)),
-	})
+	s.updateIndex(indexEntry(snap, len(data)))
 	return nil
 }
 
@@ -339,66 +438,44 @@ func (s *Store) Save(snap *Snapshot) error {
 // the address, and core.ErrBadState-wrapped errors for semantically invalid
 // learner state. Only a nil error means the snapshot is safe to import.
 func (s *Store) Load(bench string, learnHash uint64) (*Snapshot, error) {
-	path := s.Path(bench, learnHash)
-	data, err := s.fsys.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, iofs.ErrNotExist) {
-			return nil, ErrNotFound
-		}
-		return nil, fmt.Errorf("pltstore: %w", err)
+	snap, err := s.LoadPath(s.Path(bench, learnHash))
+	if err == nil && snap.Benchmark != bench {
+		return nil, fmt.Errorf("%w: snapshot for %s/%016x describes %s", ErrMismatch, bench, learnHash, snap.Benchmark)
 	}
-	snap, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Benchmark != bench || snap.LearnHash != learnHash {
-		return nil, fmt.Errorf("%w: file %s describes %s/%016x",
-			ErrMismatch, filepath.Base(path), snap.Benchmark, snap.LearnHash)
-	}
-	if err := snap.Validate(); err != nil {
-		return nil, err
-	}
-	return snap, nil
+	return snap, err
 }
 
 // Nearest returns the closest transfer-eligible donor snapshot in the given
-// sweep family: among fully validated snapshots whose Family matches, whose
-// provenance is cold-learned (TransferHash 0 — transferred tables never
-// donate, so priors cannot chain and compound model error), and whose
-// coordinate distance to recip is within transfer.MaxDistance, it picks the
-// minimum-distance one. Ties are broken by snapshot path (List order is
+// sweep family (see NearestDonor) among the store's fully validated
+// snapshots. Snapshots are considered in path order (List is
 // lexicographic), so the choice is deterministic whatever order the files
 // were written in. Returns ErrNotFound when no eligible donor exists —
 // callers count that as a rejected/unavailable transfer and start cold.
-func (s *Store) Nearest(family uint64, recip transfer.Coords) (*Snapshot, float64, error) {
+func (s *Store) Nearest(family uint64, recip transfer.Coords) (*Snapshot, error) {
+	snaps, err := s.LoadAll()
+	if err != nil {
+		return nil, err
+	}
+	if best := NearestDonor(snaps, family, recip); best != nil {
+		return best, nil
+	}
+	return nil, ErrNotFound
+}
+
+// LoadAll returns every snapshot in the store that loads and validates, in
+// path order; unreadable or invalid files are skipped.
+func (s *Store) LoadAll() ([]*Snapshot, error) {
 	paths, err := s.List("")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var (
-		best     *Snapshot
-		bestDist float64
-	)
+	var snaps []*Snapshot
 	for _, p := range paths {
-		snap, err := s.LoadPath(p)
-		if err != nil {
-			continue
-		}
-		if snap.Family != family || snap.TransferHash != 0 {
-			continue
-		}
-		d := transfer.Distance(snap.Coords, recip)
-		if !transfer.Eligible(d) {
-			continue
-		}
-		if best == nil || d < bestDist {
-			best, bestDist = snap, d
+		if snap, err := s.LoadPath(p); err == nil {
+			snaps = append(snaps, snap)
 		}
 	}
-	if best == nil {
-		return nil, 0, ErrNotFound
-	}
-	return best, bestDist, nil
+	return snaps, nil
 }
 
 // LoadPath reads and fully validates the snapshot at an explicit store path
@@ -414,6 +491,13 @@ func (s *Store) LoadPath(path string) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("pltstore: %w", err)
 	}
+	return s.verify(path, data)
+}
+
+// verify is the oracle every read and import goes through: size cap,
+// checksum-first structural decode, the transplant check that path is the
+// address the snapshot's own identity names, and semantic validation.
+func (s *Store) verify(path string, data []byte) (*Snapshot, error) {
 	if int64(len(data)) > MaxSnapshotBytes {
 		return nil, fmt.Errorf("%w: %d bytes > %d", ErrOversize, len(data), MaxSnapshotBytes)
 	}

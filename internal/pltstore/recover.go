@@ -69,21 +69,11 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		if !isSnapshotName(e.Name) {
 			continue // INDEX (rebuilt below) and foreign files are left alone
 		}
-		data, rerr := s.fsys.ReadFile(p)
-		ok := rerr == nil && int64(len(data)) <= MaxSnapshotBytes
-		var snap *Snapshot
-		if ok {
-			var derr error
-			snap, derr = Decode(data)
-			ok = derr == nil && snap.Validate() == nil && s.Path(snap.Benchmark, snap.LearnHash) == p
-		}
-		if ok {
-			valid = append(valid, IndexEntry{
-				Benchmark: snap.Benchmark,
-				LearnHash: FormatHash(snap.LearnHash),
-				Size:      int64(len(data)),
-			})
-			continue
+		if data, err := s.fsys.ReadFile(p); err == nil {
+			if snap, err := s.verify(p, data); err == nil {
+				valid = append(valid, indexEntry(snap, len(data)))
+				continue
+			}
 		}
 		if s.quarantine(e.Name) {
 			rep.Quarantined++

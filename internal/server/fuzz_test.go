@@ -38,16 +38,15 @@ func FuzzRunRequestDecode(f *testing.F) {
 			return
 		}
 		// Accepted requests must produce a stable key and a sane deadline.
-		spec, err := req.spec(1.0, 1)
+		key, err := req.Spec(1.0, 1)
 		if err != nil {
 			return
 		}
-		key := spec.Key()
 		if key.String() == "" {
 			t.Fatalf("valid request produced empty key: %q", body)
 		}
-		spec2, err := req.spec(1.0, 1)
-		if err != nil || key != spec2.Key() {
+		key2, err := req.Spec(1.0, 1)
+		if err != nil || key != key2 {
 			t.Fatalf("key derivation not deterministic for %q (err %v)", body, err)
 		}
 		if d := req.deadline(2 * time.Minute); d <= 0 || d > 2*time.Minute {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"fssim/internal/core"
 	"fssim/internal/experiments"
 	"fssim/internal/faults"
 	"fssim/internal/machine"
@@ -77,34 +76,6 @@ func DecodeRunRequest(r io.Reader) (RunRequest, error) {
 	return q, nil
 }
 
-// mode resolves the request's mode string.
-func (q RunRequest) mode() (machine.SimMode, error) {
-	switch strings.ToLower(strings.TrimSpace(q.Mode)) {
-	case "", "full", "fullsystem", "full-system", "app+os":
-		return machine.FullSystem, nil
-	case "app", "apponly", "app-only", "app only":
-		return machine.AppOnly, nil
-	case "accel", "accelerated", "pred", "app+os pred":
-		return machine.Accelerated, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (want full, app or accel)", q.Mode)
-}
-
-// strategy resolves the request's re-learning strategy string.
-func (q RunRequest) strategy() (core.Strategy, error) {
-	switch strings.ToLower(strings.TrimSpace(q.Strategy)) {
-	case "", "statistical":
-		return core.Statistical, nil
-	case "best-match", "bestmatch":
-		return core.BestMatch, nil
-	case "eager":
-		return core.Eager, nil
-	case "delayed":
-		return core.Delayed, nil
-	}
-	return 0, fmt.Errorf("unknown strategy %q (want statistical, best-match, eager or delayed)", q.Strategy)
-}
-
 // Validate rejects requests no simulation can serve. The returned error is
 // client-facing (a 400 body), so it names the offending field.
 func (q RunRequest) Validate() error {
@@ -112,12 +83,6 @@ func (q RunRequest) Validate() error {
 		return fmt.Errorf("benchmark is required (have %s)", strings.Join(workload.Names(), ", "))
 	}
 	if _, err := workload.Lookup(q.Benchmark); err != nil {
-		return err
-	}
-	if _, err := q.mode(); err != nil {
-		return err
-	}
-	if _, err := q.strategy(); err != nil {
 		return err
 	}
 	if q.L2 < 0 {
@@ -134,18 +99,10 @@ func (q RunRequest) Validate() error {
 			return err
 		}
 	}
-	if q.Sample != "" {
-		if _, err := sample.Canonical(q.Sample); err != nil {
-			return err
-		}
-	}
-	if q.Transfer != "" {
-		if _, err := transfer.ParseSpec(q.Transfer); err != nil {
-			return err
-		}
-		if mode, err := q.mode(); err == nil && mode != machine.Accelerated {
-			return fmt.Errorf("transfer requires accel mode, got %q", q.Mode)
-		}
+	// Mode, strategy, sampling spec and transfer directive are checked by
+	// building the key.
+	if _, err := q.Spec(1, 1); err != nil {
+		return err
 	}
 	if q.DeadlineMS < 0 {
 		return fmt.Errorf("deadline_ms must be non-negative, got %d", q.DeadlineMS)
@@ -153,23 +110,24 @@ func (q RunRequest) Validate() error {
 	return nil
 }
 
-// spec maps the validated request onto a scheduler RunSpec, applying the
-// server's defaults for unset fields. Accelerated runs always arm the
-// divergence watchdog so the breaker sees degradation signals.
-func (q RunRequest) spec(defaultScale float64, defaultSeed int64) (experiments.RunSpec, error) {
-	mode, err := q.mode()
+// Spec maps a validated request onto its normalized scheduler key, applying
+// the given defaults for unset scale and seed. Accelerated runs always arm
+// the divergence watchdog so the breaker sees degradation signals. The
+// backend and a routing tier both call it, so they compute the identical
+// key (and therefore the identical ring placement and run id).
+func (q RunRequest) Spec(defaultScale float64, defaultSeed int64) (experiments.RunKey, error) {
+	mode, err := experiments.ParseMode(q.Mode)
 	if err != nil {
-		return experiments.RunSpec{}, err
+		return experiments.RunKey{}, err
 	}
-	strat, err := q.strategy()
+	strat, err := experiments.ParseStrategy(q.Strategy)
 	if err != nil {
-		return experiments.RunSpec{}, err
+		return experiments.RunKey{}, err
 	}
 	smp := ""
 	if q.Sample != "" {
-		smp, err = sample.Canonical(q.Sample)
-		if err != nil {
-			return experiments.RunSpec{}, err
+		if smp, err = sample.Canonical(q.Sample); err != nil {
+			return experiments.RunKey{}, err
 		}
 	}
 	xfer := ""
@@ -178,11 +136,14 @@ func (q RunRequest) spec(defaultScale float64, defaultSeed int64) (experiments.R
 		// directive shares a cache key.
 		ts, err := transfer.ParseSpec(q.Transfer)
 		if err != nil {
-			return experiments.RunSpec{}, err
+			return experiments.RunKey{}, err
+		}
+		if mode != machine.Accelerated {
+			return experiments.RunKey{}, fmt.Errorf("transfer requires accel mode, got %q", q.Mode)
 		}
 		xfer = ts.String()
 	}
-	sp := experiments.RunSpec{
+	k := experiments.RunKey{
 		Bench:    q.Benchmark,
 		Mode:     mode,
 		L2:       q.L2,
@@ -194,13 +155,13 @@ func (q RunRequest) spec(defaultScale float64, defaultSeed int64) (experiments.R
 		Strategy: strat,
 		Watchdog: mode == machine.Accelerated,
 	}
-	if sp.Scale <= 0 {
-		sp.Scale = defaultScale
+	if k.Scale <= 0 {
+		k.Scale = defaultScale
 	}
-	if sp.Seed == 0 {
-		sp.Seed = defaultSeed
+	if k.Seed == 0 {
+		k.Seed = defaultSeed
 	}
-	return sp, nil
+	return k.Key(), nil
 }
 
 // deadline resolves the request's wait deadline against the server default,
@@ -270,19 +231,7 @@ type SampleInfo struct {
 // exported for the fleet router, which shards by it: because the id is a
 // pure function of the normalized key, POST /v1/runs and the later
 // GET /v1/runs/{id} land on the same ring node.
-func RunID(key experiments.RunKey) string { return runID(key) }
-
-// Spec maps a validated request onto a scheduler RunSpec using the given
-// defaults — the same normalization handleSubmit applies, exported so a
-// routing tier computes the identical cache key (and therefore the identical
-// ring placement and run id) as the backend that will serve the request.
-func (q RunRequest) Spec(defaultScale float64, defaultSeed int64) (experiments.RunSpec, error) {
-	return q.spec(defaultScale, defaultSeed)
-}
-
-// runID derives the deterministic public id of a cache key: identical
-// requests — from any client, at any time — map to the same id.
-func runID(key experiments.RunKey) string {
+func RunID(key experiments.RunKey) string {
 	h := fnv.New64a()
 	io.WriteString(h, key.String())
 	fmt.Fprintf(h, "|seed=%d", key.Seed)

@@ -33,6 +33,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -374,12 +375,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
 		return
 	}
-	spec, err := req.spec(s.cfg.Scale, s.cfg.Seed)
+	key, err := req.Spec(s.cfg.Scale, s.cfg.Seed)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
 		return
 	}
-	key := spec.Key()
 
 	// Bounded admission: a full queue sheds immediately — the request never
 	// allocates a goroutine, a scheduler entry, or a worker.
@@ -415,7 +415,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Circuit breaker, scoped to this (benchmark, mode). Checked after
 	// admission so a half-open probe that is admitted always resolves.
-	bk := breakerKey{bench: spec.Bench, mode: spec.Mode}
+	bk := breakerKey{bench: key.Bench, mode: key.Mode}
 	br := s.breakers.get(bk)
 	ok, probe, retry := br.allow()
 	if !ok {
@@ -423,11 +423,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", fmt.Sprint(int(math.Ceil(retry.Seconds()))))
 		w.Header().Set("X-Fssim-Breaker", "open")
 		writeJSON(w, http.StatusServiceUnavailable,
-			errBody{fmt.Sprintf("circuit open for %s/%s: recent runs failing", spec.Bench, spec.Mode)})
+			errBody{fmt.Sprintf("circuit open for %s/%s: recent runs failing", key.Bench, key.Mode)})
 		return
 	}
 
-	id := runID(key)
+	id := RunID(key)
 	rec := s.record(id, key)
 
 	// The request waits at most its deadline; the simulation itself runs
@@ -635,14 +635,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errBody{"no PLT snapshot for benchmark " + bench})
 		return
 	}
+	writeSnapshot(w, path, func(*pltstore.Snapshot) bool { return true })
+}
+
+// writeSnapshot serves the snapshot file at path as raw pltstore bytes. The
+// file is re-decoded first and must satisfy want: a file that rotted or was
+// transplanted since it was listed or indexed is a 404, never garbage.
+func writeSnapshot(w http.ResponseWriter, path string, want func(*pltstore.Snapshot) bool) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errBody{"snapshot unreadable: " + err.Error()})
-		return
+	var snap *pltstore.Snapshot
+	if err == nil {
+		snap, err = pltstore.Decode(data)
 	}
-	snap, err := pltstore.Decode(data)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errBody{"snapshot corrupt: " + err.Error()})
+	if err != nil || !want(snap) {
+		writeJSON(w, http.StatusNotFound, errBody{"snapshot " + filepath.Base(path) + " is unreadable, corrupt or transplanted"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -690,22 +696,9 @@ func (s *Server) handleSnapshotAt(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errBody{err.Error()})
 		return
 	}
-	path := store.Path(bench, hash)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errBody{"no snapshot at " + bench + "/" + pltstore.FormatHash(hash)})
-		return
-	}
-	snap, err := pltstore.Decode(data)
-	if err != nil || snap.Benchmark != bench || snap.LearnHash != hash {
-		writeJSON(w, http.StatusNotFound, errBody{"snapshot at " + bench + "/" + pltstore.FormatHash(hash) + " is corrupt or transplanted"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Fssim-Plt-Format-Version", strconv.Itoa(pltstore.FormatVersion))
-	w.Header().Set("X-Fssim-Plt-Key", snap.Key)
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
+	writeSnapshot(w, store.Path(bench, hash), func(snap *pltstore.Snapshot) bool {
+		return snap.Benchmark == bench && snap.LearnHash == hash
+	})
 }
 
 // handleHealthz reports liveness: the process is up and serving HTTP.

@@ -824,10 +824,10 @@ func TestDeterministicRunID(t *testing.T) {
 	k1 := experiments.RunSpec{Bench: "srv-ok", Scale: 0.1, Seed: 1}.Key()
 	k2 := experiments.RunSpec{Bench: "srv-ok", Scale: 0.1, Seed: 1}.Key()
 	k3 := experiments.RunSpec{Bench: "srv-ok", Scale: 0.1, Seed: 2}.Key()
-	if runID(k1) != runID(k2) {
+	if RunID(k1) != RunID(k2) {
 		t.Error("identical specs produced different ids")
 	}
-	if runID(k1) == runID(k3) {
+	if RunID(k1) == RunID(k3) {
 		t.Error("different seeds share an id")
 	}
 }
