@@ -67,49 +67,51 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// Line state is kept as a structure of arrays indexed by way slot
-// (set*assoc + way): the tag scan — the hottest loop in a detailed run —
-// then walks a dense uint64 array (an 8-way set's tags share one hardware
-// cache line) instead of striding through 24-byte structs.
+// Line state is one uint64 word per way: the block number in the low bits
+// and the valid, dirty and OS-owner flags in bits 61–63. A block number
+// (address >> log2 BlockSize, BlockSize >= 8) never reaches bit 61, and a
+// valid line always has wayValid set, so the word 0 means an invalid way.
+//
+// Each set's ways are kept in recency order: way 0 is the most recently used
+// line, valid ways come before invalid ones, and the last way is the LRU
+// victim. This is exactly true LRU — the victim is the first invalid way,
+// else the least recently used line — with no per-line stamps, and an
+// 8-way set is one 64-byte host cache line.
 const (
-	metaValid = 1 << iota
-	metaDirty
-	metaOS // owner bit: set = OwnerOS, clear = OwnerApp
+	wayOS    = 1 << 61 // owner bit: set = OwnerOS, clear = OwnerApp
+	wayDirty = 1 << 62
+	wayValid = 1 << 63
+	wayFlags = wayValid | wayDirty | wayOS
 )
 
 // Cache is a single set-associative cache level.
 type Cache struct {
 	cfg      Config
-	tags     []uint64 // block number per way slot
-	lru      []uint64 // last-touch stamp; larger = more recent
-	meta     []uint8  // metaValid | metaDirty | metaOS
+	ways     []uint64 // set*assoc + recency rank; 0 = invalid
 	assoc    int
 	numSets  int
 	blkShift uint
 	setMask  uint64
-	stamp    uint64
+	stamp    uint64 // counts accesses and fills; numbers pollution placeholder lines
 	stats    Stats
 }
 
-func metaOwner(m uint8) Owner {
-	if m&metaOS != 0 {
-		return OwnerOS
-	}
-	return OwnerApp
-}
-
-func ownerMeta(o Owner) uint8 {
+func ownerFlag(o Owner) uint64 {
 	if o == OwnerOS {
-		return metaOS
+		return wayOS
 	}
 	return 0
 }
 
-// New builds a cache from cfg. Size, Assoc and BlockSize must describe a
-// power-of-two number of sets.
+// New builds a cache from cfg. BlockSize must be a power of two of at least
+// 8 bytes, and Size, Assoc and BlockSize must describe a power-of-two number
+// of sets.
 func New(cfg Config) *Cache {
 	if cfg.Size <= 0 || cfg.Assoc <= 0 || cfg.BlockSize <= 0 {
 		panic(fmt.Sprintf("cache %q: invalid config %+v", cfg.Name, cfg))
+	}
+	if cfg.BlockSize < 8 || cfg.BlockSize&(cfg.BlockSize-1) != 0 {
+		panic(fmt.Sprintf("cache %q: block size %d not a power of two >= 8", cfg.Name, cfg.BlockSize))
 	}
 	numSets := cfg.Size / (cfg.Assoc * cfg.BlockSize)
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
@@ -119,9 +121,7 @@ func New(cfg Config) *Cache {
 	for s := 1; s < cfg.BlockSize; s <<= 1 {
 		c.blkShift++
 	}
-	c.tags = make([]uint64, numSets*cfg.Assoc)
-	c.lru = make([]uint64, numSets*cfg.Assoc)
-	c.meta = make([]uint8, numSets*cfg.Assoc)
+	c.ways = make([]uint64, numSets*cfg.Assoc)
 	return c
 }
 
@@ -134,9 +134,57 @@ func (c *Cache) Stats() Stats { return c.stats }
 // LineAddr returns the line-aligned address for addr.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.blkShift << c.blkShift }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	blk := addr >> c.blkShift
-	return int(blk & c.setMask), blk >> 0 // full block number as tag (set bits redundant but harmless)
+// set returns the ways of set number s, most recently used first.
+func (c *Cache) set(s int) []uint64 {
+	base := s * c.assoc
+	return c.ways[base : base+c.assoc : base+c.assoc]
+}
+
+// lookup returns addr's set, its block number and the line's rank within the
+// set (-1 when absent).
+func (c *Cache) lookup(addr uint64) (set []uint64, blk uint64, rank int) {
+	blk = addr >> c.blkShift
+	set = c.set(int(blk & c.setMask))
+	key := blk | wayValid
+	for i, w := range set {
+		if w&^(wayDirty|wayOS) == key {
+			return set, blk, i
+		}
+	}
+	return set, blk, -1
+}
+
+// promote moves the line at rank i to way 0 as word w, shifting the more
+// recent lines down one rank. A plain loop: copy would call memmove, which
+// costs more than the handful of words it moves.
+func promote(set []uint64, i int, w uint64) {
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = w
+}
+
+// fill installs word w as the most recent line of set, displacing the LRU
+// line when the set is full, and reports the victim. Invalid ways trail the
+// valid ones, so shifting the whole set consumes the first invalid way.
+func (c *Cache) fill(set []uint64, w uint64) (res AccessResult) {
+	last := len(set) - 1
+	if v := set[last]; v != 0 {
+		res = AccessResult{Evicted: true, EvictedDirty: v&wayDirty != 0, EvictedAddr: (v &^ wayFlags) << c.blkShift}
+	}
+	promote(set, last, w)
+	return res
+}
+
+// evicted counts a demand-style fill's victim: an eviction, and a writeback
+// when dirty.
+func (c *Cache) evicted(res AccessResult) {
+	if res.Evicted {
+		c.stats.Evictions++
+		if res.EvictedDirty {
+			c.stats.Writebacks++
+		}
+	}
 }
 
 // AccessResult reports the outcome of one cache access.
@@ -161,94 +209,60 @@ func (c *Cache) Access(addr uint64, words int, isWrite bool, owner Owner) Access
 	if owner == OwnerOS {
 		c.stats.OSAccesses += uint64(words)
 	}
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == tag && c.meta[base+i]&metaValid != 0 {
-			j := base + i
-			c.lru[j] = c.stamp
-			m := c.meta[j]&^metaOS | ownerMeta(owner)
-			if isWrite {
-				m |= metaDirty
-			}
-			c.meta[j] = m
-			return AccessResult{Hit: true}
-		}
+	flags := ownerFlag(owner)
+	if isWrite {
+		flags |= wayDirty
 	}
-	// Miss: fill into invalid way or LRU victim. One fused pass: the first
-	// invalid way wins outright; otherwise the earliest minimum-lru way does —
-	// identical victim choice to separate invalid-then-LRU scans.
+	set, blk, i := c.lookup(addr)
+	if i >= 0 {
+		promote(set, i, set[i]&^wayOS|flags)
+		return AccessResult{Hit: true}
+	}
 	c.stats.Misses++
 	if owner == OwnerOS {
 		c.stats.OSMisses++
 	}
-	lru := c.lru[base : base+c.assoc]
-	victim, filled := 0, false
-	for i := range tags {
-		if c.meta[base+i]&metaValid == 0 {
-			victim = i
-			filled = true
-			break
-		}
-		if lru[i] < lru[victim] {
-			victim = i
-		}
+	res := c.fill(set, blk|wayValid|flags)
+	c.evicted(res)
+	return res
+}
+
+// Prefetch installs addr's line for owner if it is absent, exactly as a
+// demand miss would — same LRU victim, and the displaced line counts as an
+// eviction (and a writeback when dirty) — but counts no access or miss. A
+// present line is left where it is and reported as a hit.
+func (c *Cache) Prefetch(addr uint64, owner Owner) AccessResult {
+	set, blk, i := c.lookup(addr)
+	if i >= 0 {
+		return AccessResult{Hit: true}
 	}
-	var res AccessResult
-	j := base + victim
-	if !filled {
-		res.Evicted = true
-		res.EvictedDirty = c.meta[j]&metaDirty != 0
-		res.EvictedAddr = tags[victim] << c.blkShift
-		c.stats.Evictions++
-		if res.EvictedDirty {
-			c.stats.Writebacks++
-		}
-	}
-	tags[victim] = tag
-	lru[victim] = c.stamp
-	m := metaValid | ownerMeta(owner)
-	if isWrite {
-		m |= metaDirty
-	}
-	c.meta[j] = m
+	c.stamp++
+	res := c.fill(set, blk|wayValid|ownerFlag(owner))
+	c.evicted(res)
 	return res
 }
 
 // Probe reports whether addr is present without disturbing LRU state or
 // counters. Used by tests and by the warmup checker.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	for i, t := range c.tags[base : base+c.assoc] {
-		if t == tag && c.meta[base+i]&metaValid != 0 {
-			return true
-		}
-	}
-	return false
+	_, _, i := c.lookup(addr)
+	return i >= 0
 }
 
 // InvalidateAll drops every line (TLB shootdown / flush semantics).
-func (c *Cache) InvalidateAll() {
-	clear(c.tags)
-	clear(c.lru)
-	clear(c.meta)
-}
+func (c *Cache) InvalidateAll() { clear(c.ways) }
 
 // Invalidate drops addr's line if present, returning whether it was dirty.
+// The less recent lines move up one rank, keeping invalid ways last.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	for i, t := range c.tags[base : base+c.assoc] {
-		j := base + i
-		if t == tag && c.meta[j]&metaValid != 0 {
-			d := c.meta[j]&metaDirty != 0
-			c.tags[j], c.lru[j], c.meta[j] = 0, 0, 0
-			return true, d
-		}
+	set, _, i := c.lookup(addr)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	dirty = set[i]&wayDirty != 0
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
+	return true, dirty
 }
 
 // Touch performs an uncounted fill of addr's line: a lookup that, on miss,
@@ -260,34 +274,14 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // double-counted.
 func (c *Cache) Touch(addr uint64) {
 	c.stamp++
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == tag && c.meta[base+i]&metaValid != 0 {
-			c.lru[base+i] = c.stamp
-			c.meta[base+i] |= metaOS
-			return
-		}
+	set, blk, i := c.lookup(addr)
+	if i >= 0 {
+		promote(set, i, set[i]|wayOS)
+		return
 	}
-	lru := c.lru[base : base+c.assoc]
-	victim, filled := 0, false
-	for i := range tags {
-		if c.meta[base+i]&metaValid == 0 {
-			victim = i
-			filled = true
-			break
-		}
-		if lru[i] < lru[victim] {
-			victim = i
-		}
-	}
-	if !filled {
+	if c.fill(set, blk|wayValid|wayOS).Evicted {
 		c.stats.PollutionEv++
 	}
-	tags[victim] = tag
-	lru[victim] = c.stamp
-	c.meta[base+victim] = metaValid | metaOS
 }
 
 // InjectPollution models the working-set displacement an OS service would
@@ -303,46 +297,25 @@ func (c *Cache) Touch(addr uint64) {
 func (c *Cache) InjectPollution(n int, rng *rand.Rand) {
 	for i := 0; i < n; i++ {
 		c.stamp++
-		set := rng.Intn(c.numSets)
-		base := set * c.assoc
-		lru := c.lru[base : base+c.assoc]
-		victim, filled := 0, false
-		// Invalid line first: pollution then consumes capacity without
-		// displacing live data; otherwise the least-recently-used line, any
-		// owner — stale lines the OS itself left behind are displaced like
-		// any other.
-		for w := range lru {
-			if c.meta[base+w]&metaValid == 0 {
-				victim = w
-				filled = true
-				break
-			}
-			if lru[w] < lru[victim] {
-				victim = w
-			}
-		}
-		if !filled {
+		set := c.set(rng.Intn(c.numSets))
+		// Placeholder block number outside any allocated region; unique per
+		// injection so placeholder lines never alias real data.
+		phantom := (uint64(0xF0000000_00000000) | c.stamp<<c.blkShift) >> c.blkShift
+		if c.fill(set, phantom|wayValid|wayOS).Evicted {
 			c.stats.PollutionEv++
 		}
-		// Placeholder tag outside any allocated region; unique per injection
-		// so placeholder lines never alias real data.
-		phantom := (uint64(0xF0000000_00000000) | c.stamp<<c.blkShift) >> c.blkShift
-		c.tags[base+victim] = phantom
-		lru[victim] = c.stamp
-		c.meta[base+victim] = metaValid | metaOS
 	}
 }
 
 // OwnedLines counts valid lines per owner; used by tests and diagnostics.
 func (c *Cache) OwnedLines() (app, os int) {
-	for _, m := range c.meta {
-		if m&metaValid == 0 {
-			continue
-		}
-		if metaOwner(m) == OwnerApp {
-			app++
-		} else {
+	for _, w := range c.ways {
+		switch {
+		case w == 0:
+		case w&wayOS != 0:
 			os++
+		default:
+			app++
 		}
 	}
 	return

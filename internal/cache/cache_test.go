@@ -196,12 +196,25 @@ func TestStatsConservation(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-power-of-two set count should panic")
-		}
-	}()
-	New(Config{Name: "bad", Size: 3000, Assoc: 3, BlockSize: 64})
+	for _, tc := range []struct {
+		why string
+		cfg Config
+	}{
+		{"non-power-of-two set count", Config{Name: "bad", Size: 3000, Assoc: 3, BlockSize: 64}},
+		// 3072/48 = 64 sets pass the set check, but a 48 B block would be
+		// modelled as a 64 B one.
+		{"non-power-of-two block size", Config{Name: "bad", Size: 3072, Assoc: 1, BlockSize: 48}},
+		{"block size below 8 bytes", Config{Name: "bad", Size: 256, Assoc: 1, BlockSize: 4}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic: %+v", tc.why, tc.cfg)
+				}
+			}()
+			New(tc.cfg)
+		}()
+	}
 }
 
 func TestStatsSubAdd(t *testing.T) {
@@ -215,4 +228,78 @@ func TestStatsSubAdd(t *testing.T) {
 	if s != a {
 		t.Errorf("add(sub) != original: %+v", s)
 	}
+}
+
+// FuzzCacheMatchesReference drives Cache and the stamp-LRU reference model
+// (ref_test.go) through the same operation sequence and requires identical
+// return values, Stats and OwnedLines after every operation. The first four
+// bytes pick the geometry — associativity 1–16, 1–64 sets, 8 B–4 KB blocks —
+// and the pollution seed. Every following byte triple is one operation, its
+// owner and word count, and a line drawn from 256 candidates, so small
+// geometries thrash and large ones fill gradually.
+func FuzzCacheMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, assoc := range []byte{0, 1, 2, 3, 4} {
+		for _, sets := range []byte{0, 3, 6} {
+			data := make([]byte, 4+3*2000)
+			rng.Read(data)
+			data[0], data[1] = assoc, sets
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		cfg := Config{Name: "fuzz", Assoc: 1 << (data[0] % 5), BlockSize: 8 << (data[2] % 10)}
+		cfg.Size = cfg.Assoc * cfg.BlockSize << (data[1] % 7)
+		c, ref := New(cfg), newRef(cfg)
+		rc, rr := rand.New(rand.NewSource(int64(data[3]))), rand.New(rand.NewSource(int64(data[3])))
+		for k := 4; k+2 < len(data); k += 3 {
+			op, aux, line := data[k]%16, data[k+1], data[k+2]
+			addr := uint64(line)<<c.blkShift | uint64(aux)%uint64(cfg.BlockSize)
+			owner, n := Owner(aux%2), int(aux/2)%9
+			var got, want any
+			switch op {
+			case 0, 1, 2, 3, 4, 5:
+				write := op%2 == 1
+				got, want = c.Access(addr, n, write, owner), ref.Access(addr, n, write, owner)
+			case 6, 7:
+				c.Touch(addr)
+				ref.Touch(addr)
+			case 8:
+				got, want = c.Probe(addr), ref.Probe(addr)
+			case 9, 10:
+				p, d := c.Invalidate(addr)
+				rp, rd := ref.Invalidate(addr)
+				got, want = [2]bool{p, d}, [2]bool{rp, rd}
+			case 11, 12:
+				c.InjectPollution(n, rc)
+				ref.InjectPollution(n, rr)
+			case 13, 14:
+				got, want = c.Prefetch(addr, owner), ref.Prefetch(addr, owner)
+			case 15:
+				c.InvalidateAll()
+				ref.InvalidateAll()
+			}
+			if got != want {
+				t.Fatalf("op %d (%d) on %#x under %+v: got %+v, reference %+v", k/3-1, op, addr, cfg, got, want)
+			}
+			if c.Stats() != ref.Stats() {
+				t.Fatalf("op %d (%d): stats %+v, reference %+v", k/3-1, op, c.Stats(), ref.Stats())
+			}
+			app, os := c.OwnedLines()
+			if rapp, ros := ref.OwnedLines(); app != rapp || os != ros {
+				t.Fatalf("op %d (%d): owned (%d, %d), reference (%d, %d)", k/3-1, op, app, os, rapp, ros)
+			}
+		}
+		for s := 0; s < c.numSets; s++ {
+			set := c.set(s)
+			for i := 1; i < len(set); i++ {
+				if set[i-1] == 0 && set[i] != 0 {
+					t.Fatalf("set %d has a valid way after an invalid one: %x", s, set)
+				}
+			}
+		}
+	})
 }

@@ -236,13 +236,16 @@ func (h *Hierarchy) accessL2(lineAddr, now uint64, isWrite bool, owner cache.Own
 			h.writebackToMem(now)
 		}
 		if h.cfg.Prefetch {
-			// Next-line prefetch: bring in the following line if absent,
-			// consuming a bus slot but delaying no one.
+			// Next-line prefetch: bring in the following line if absent for
+			// the same owner, consuming bus slots (the fill and any dirty
+			// victim's writeback) but delaying no one.
 			next := lineAddr + uint64(h.cfg.L2.BlockSize)
-			if !h.l2.Probe(next) {
-				h.l2.Touch(next)
+			if pf := h.l2.Prefetch(next, owner); !pf.Hit {
 				h.memFill(next, now+uint64(h.cfg.L2.HitLatency))
 				h.prefetches++
+				if pf.EvictedDirty {
+					h.writebackToMem(now)
+				}
 			}
 		}
 	}

@@ -197,3 +197,35 @@ func TestPrefetchNextLine(t *testing.T) {
 		t.Errorf("prefetched line still missed: %+v", d)
 	}
 }
+
+// TestPrefetchEvictsLikeDemandFill checks that a prefetch displacing a dirty
+// L2 line writes it back — a DRAM transaction and a bus slot, counted as an
+// eviction and a writeback, not as pollution — and that the prefetched line
+// belongs to the demand access's owner.
+func TestPrefetchEvictsLikeDemandFill(t *testing.T) {
+	h := New(DefaultConfig().WithPrefetch())
+	const demand = 0x40_0000 // L2 set 0; its next line maps to set 1
+	stride := uint64(h.cfg.L2.Size / h.cfg.L2.Assoc)
+	for k := uint64(1); k <= uint64(h.cfg.L2.Assoc); k++ {
+		h.l2.Access(demand+64+k*stride, 1, true, cache.OwnerOS) // fill set 1 dirty
+	}
+	st0, dram0 := h.Stats().L2, h.DRAMAccesses()
+	h.Data(demand, 8, 1000, false, cache.OwnerApp)
+	if h.Prefetches() != 1 {
+		t.Fatalf("prefetches = %d, want 1", h.Prefetches())
+	}
+	// Demand fill + prefetch fill + the dirty victim's writeback.
+	if d := h.DRAMAccesses() - dram0; d != 3 {
+		t.Errorf("DRAM accesses = %d, want 3", d)
+	}
+	d := h.Stats().L2.Sub(st0)
+	if d.Evictions != 1 || d.Writebacks != 1 || d.PollutionEv != 0 {
+		t.Errorf("L2 delta %+v, want 1 eviction, 1 writeback, no pollution", d)
+	}
+	if d.Accesses != 1 || d.Misses != 1 {
+		t.Errorf("L2 delta %+v: the prefetch must not count as an access", d)
+	}
+	if app, os := h.l2.OwnedLines(); app != 2 || os != 7 {
+		t.Errorf("L2 owned (app %d, os %d), want (2, 7): prefetch takes the demand owner", app, os)
+	}
+}

@@ -5,7 +5,9 @@
 # The repo keeps one BENCH_<pr>.json per PR so the benchmark trajectory is
 # diffable across the stack: each entry records ns/op, B/op and allocs/op for
 # every benchmark in bench_test.go (one per paper artifact, plus ablations
-# and substrate micro-benchmarks).
+# and substrate micro-benchmarks), and under "metrics" every custom column a
+# benchmark reports (sim-insts/op, cycles-err-%, ci95-%, ...). Entries stay
+# one per line.
 #
 # Usage:
 #   scripts/bench.sh                  # full suite, 1 iteration each
@@ -37,10 +39,15 @@ run_suite() { # $1 = pattern, $2 = output json
     name = $1; sub(/^Benchmark/, "", name); sub(/-[0-9]+$/, "", name)
     entry = sprintf("    {\"name\": %s, \"iters\": %s, \"ns_per_op\": %s", \
                     q(name), $2, $3)
-    for (i = 4; i < NF; i++) {
-        if ($(i+1) == "B/op")      entry = entry sprintf(", \"bytes_per_op\": %s", $i)
-        if ($(i+1) == "allocs/op") entry = entry sprintf(", \"allocs_per_op\": %s", $i)
+    # After ns/op come value-unit pairs: B/op and allocs/op from -benchmem,
+    # and every b.ReportMetric column, kept under "metrics" by unit.
+    metrics = ""
+    for (i = 5; i < NF; i += 2) {
+        if ($(i+1) == "B/op")           entry = entry sprintf(", \"bytes_per_op\": %s", $i)
+        else if ($(i+1) == "allocs/op") entry = entry sprintf(", \"allocs_per_op\": %s", $i)
+        else metrics = metrics sprintf("%s%s: %s", (metrics == "" ? "" : ", "), q($(i+1)), $i)
     }
+    if (metrics != "") entry = entry ", \"metrics\": {" metrics "}"
     entries[n++] = entry "}"
 }
 function q(s) { gsub(/"/, "\\\"", s); return "\"" s "\"" }
