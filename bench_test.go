@@ -352,6 +352,45 @@ func BenchmarkCacheAccessResident(b *testing.B) {
 	}
 }
 
+// emulateAll is an IntervalSink that fast-forwards every OS service.
+type emulateAll struct{ pred machine.Prediction }
+
+func (s *emulateAll) OnServiceStart(isa.ServiceID) (bool, float64) { return false, 1 }
+
+func (s *emulateAll) OnServiceEnd(_ isa.ServiceID, sig machine.Signature, _ *machine.Measurement) *machine.Prediction {
+	s.pred = machine.Prediction{Cycles: sig.Insts}
+	return &s.pred
+}
+
+// emitterBench runs CopyLines and Mix, 512 instructions per op, inside one
+// OS service interval that the machine either fast-forwards or simulates in
+// detail, and reports host ns per simulated instruction.
+func emitterBench(b *testing.B, mode machine.SimMode) {
+	cfg := machine.DefaultConfig()
+	cfg.Mode = mode
+	m := machine.New(cfg)
+	m.SetSink(&emulateAll{})
+	e := m.Emitter()
+	m.KEnter(isa.Sys(isa.SysRead))
+	insts := m.Stats().Insts
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CopyLines(0x100_0000, 0x200_0000, 64)
+		e.Mix(256)
+	}
+	b.StopTimer()
+	insts = m.Stats().Insts - insts
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(insts), "ns/sim-inst")
+}
+
+// BenchmarkEmulatedEmitter measures the emulation-only emitter: the helpers'
+// cost while the machine fast-forwards an OS service.
+func BenchmarkEmulatedEmitter(b *testing.B) { emitterBench(b, machine.Accelerated) }
+
+// BenchmarkDetailedEmitter is its detailed twin: the same helpers through
+// the out-of-order core and the cache hierarchy.
+func BenchmarkDetailedEmitter(b *testing.B) { emitterBench(b, machine.FullSystem) }
+
 // BenchmarkFullSystemSimulation measures end-to-end detailed simulation
 // throughput (simulated instructions per host second) on the web workload.
 func BenchmarkFullSystemSimulation(b *testing.B) {

@@ -115,16 +115,10 @@ func (c *OOOCore) SkipTo(cycle uint64) {
 	if c.dispCycle < cycle {
 		c.dispCycle, c.dispCount = cycle, 0
 	}
-	// In-flight dataflow state is stale after a skip: make prior completion
-	// times no later than the resume point.
-	for i := range c.comp {
-		if c.comp[i] > cycle {
-			c.comp[i] = cycle
-		}
-		if c.cmt[i] > cycle {
-			c.cmt[i] = cycle
-		}
-	}
+	// The completion and commit histories need no clamping to the resume
+	// point: every entry is already at most Now. Exec commits no earlier
+	// than it completes (comp[i] <= cmt[i]), commits are non-decreasing and
+	// end at lastCommit, and cycle is at least lastCommit.
 	c.redirect = true
 }
 

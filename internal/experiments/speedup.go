@@ -8,6 +8,7 @@ import (
 	"fssim/internal/core"
 	"fssim/internal/cpu"
 	"fssim/internal/isa"
+	"fssim/internal/machine"
 	"fssim/internal/memsys"
 	"fssim/internal/stats"
 	"fssim/internal/workload"
@@ -79,23 +80,39 @@ func measureModeCosts(insts int) ModeCosts {
 	mc.OOONoCache = timeCore(func() cpu.Core { return cpu.NewOOO(ccfg, nil) })
 	mc.OOOCache = timeCore(func() cpu.Core { return cpu.NewOOO(ccfg, memsys.New(mcfg)) })
 
-	// Emulation mode: the per-instruction cost of the fast-forward path is a
-	// counter bump; time the same dispatch loop against a counting sink.
+	// Emulation mode: time the path the machine runs while it fast-forwards
+	// an OS service — an Accelerated machine whose sink emulates every
+	// interval, fed through the Emitter helpers. Each round's CopyLines and
+	// ScanLines carry the stream's share of loads (1/4) and stores (1/8).
+	m := machine.New(machine.Config{Mode: machine.Accelerated, Core: machine.CoreOOO,
+		WithCaches: true, CPU: ccfg, Mem: mcfg})
+	m.SetSink(&emulateAll{})
+	e := m.Emitter()
+	m.KEnter(isa.Sys(isa.SysRead))
 	start := time.Now()
 	n := 0
-	var sink uint64
 	for n < insts {
-		for j := range stream {
-			sink += uint64(stream[j].Op)
-			n++
-		}
+		e.CopyLines(base+4<<20, base, 16)
+		e.ScanLines(base, 16, 64)
+		n += 128
 	}
-	_ = sink
 	mc.Emulation = float64(time.Since(start).Nanoseconds()) / float64(n)
+	m.KExit()
 	if mc.Emulation <= 0 {
 		mc.Emulation = 0.1
 	}
 	return mc
+}
+
+// emulateAll is an IntervalSink that fast-forwards every OS service at an
+// estimated CPI of 1 and predicts one cycle per instruction.
+type emulateAll struct{ pred machine.Prediction }
+
+func (s *emulateAll) OnServiceStart(isa.ServiceID) (bool, float64) { return false, 1 }
+
+func (s *emulateAll) OnServiceEnd(_ isa.ServiceID, sig machine.Signature, _ *machine.Measurement) *machine.Prediction {
+	s.pred = machine.Prediction{Cycles: sig.Insts}
+	return &s.pred
 }
 
 // Table1 regenerates the paper's Table 1: the slowdown ratios of the

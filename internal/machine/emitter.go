@@ -77,9 +77,31 @@ func (e Emitter) emit(in isa.Inst) {
 	e.m.execStaged()
 }
 
+// skip fast-forwards a helper's run of n instructions when the machine is
+// emulating an OS service, and returns the index of the first instruction
+// the helper must still emit itself (0 on the detailed path, which pays only
+// this check). start is a loop run's start PC.
+func (e Emitter) skip(sh *runShape, start uint64, n int) int {
+	if e.m.emulating && e.m.inInterval && e.m.depth > 0 {
+		return e.m.fastForward(sh, start, n)
+	}
+	return 0
+}
+
+// The shapes of the helpers' runs (see runShape). Emulation observes only
+// the instruction count and the load/store/branch mix, so Ops, Chain, Mix
+// and FOps share one straight-line shape.
+var (
+	straightRun   = runShape{period: 1}
+	copyLinesRun  = runShape{period: 4, loads: 1 << 1, stores: 1 << 2, branches: 1 << 3, loop: true}
+	scanLinesRun  = runShape{period: 4, loads: 1 << 1, branches: 1 << 3, loop: true}
+	writeLinesRun = runShape{period: 3, stores: 1 << 1, branches: 1 << 2, loop: true}
+	chaseListRun  = runShape{period: 3, loads: 1 << 0, branches: 1 << 2, loop: true}
+)
+
 // Ops emits n independent single-cycle integer operations.
 func (e Emitter) Ops(n int) {
-	for i := 0; i < n; i++ {
+	for i := e.skip(&straightRun, 0, n); i < n; i++ {
 		e.emit(isa.Inst{Op: isa.ALU})
 	}
 }
@@ -87,7 +109,7 @@ func (e Emitter) Ops(n int) {
 // Chain emits n serially dependent integer operations (a dependence chain,
 // e.g. an address calculation or reduction).
 func (e Emitter) Chain(n int) {
-	for i := 0; i < n; i++ {
+	for i := e.skip(&straightRun, 0, n); i < n; i++ {
 		e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
 	}
 }
@@ -96,7 +118,7 @@ func (e Emitter) Chain(n int) {
 // scattered short dependence chains and an occasional multiply — the filler
 // between the memory operations that dominate timing.
 func (e Emitter) Mix(n int) {
-	for i := 0; i < n; i++ {
+	for i := e.skip(&straightRun, 0, n); i < n; i++ {
 		switch i & 7 {
 		case 3:
 			e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
@@ -112,7 +134,7 @@ func (e Emitter) Mix(n int) {
 
 // FOps emits n floating-point operations with moderate dependence.
 func (e Emitter) FOps(n int) {
-	for i := 0; i < n; i++ {
+	for i := e.skip(&straightRun, 0, n); i < n; i++ {
 		if i&3 == 3 {
 			e.emit(isa.Inst{Op: isa.FPU, Dep: 1})
 		} else {
@@ -195,17 +217,34 @@ func (e Emitter) Loop(iters int, body func(i int)) {
 	}
 }
 
+// The loop helpers below unroll Loop's iteration by hand — reset the cursor
+// to start, emit the body, then the back-branch — so that they can resume at
+// any position of an iteration, where fastForward stopped.
+
 // CopyLines models a memcpy of n cache lines from src to dst: per line, an
 // induction update, a load, a store, and the loop branch. Successive lines
 // are independent (addresses come from the induction variable), so the
 // out-of-order core overlaps their misses the way real memcpy does.
 func (e Emitter) CopyLines(dst, src uint64, n int) {
-	e.Loop(n, func(i int) {
+	start := e.m.cursor.PC
+	j := e.skip(&copyLinesRun, start, 4*n)
+	for i, k := j/4, j%4; i < n; i, k = i+1, 0 {
 		off := uint64(i) * 64
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
-		e.Load(src+off, 64, 1)
-		e.Store(dst+off, 64)
-	})
+		switch k {
+		case 0:
+			e.m.cursor.PC = start
+			e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
+			fallthrough
+		case 1:
+			e.Load(src+off, 64, 1)
+			fallthrough
+		case 2:
+			e.Store(dst+off, 64)
+			fallthrough
+		default:
+			e.Branch(i < n-1, start)
+		}
+	}
 }
 
 // ScanLines models a read sweep over n lines starting at addr with the given
@@ -215,11 +254,24 @@ func (e Emitter) ScanLines(addr uint64, n int, stride uint64) {
 	if stride == 0 {
 		stride = 64
 	}
-	e.Loop(n, func(i int) {
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
-		e.Load(addr+uint64(i)*stride, 8, 1)
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
-	})
+	start := e.m.cursor.PC
+	j := e.skip(&scanLinesRun, start, 4*n)
+	for i, k := j/4, j%4; i < n; i, k = i+1, 0 {
+		switch k {
+		case 0:
+			e.m.cursor.PC = start
+			e.emit(isa.Inst{Op: isa.ALU, Dep: 4})
+			fallthrough
+		case 1:
+			e.Load(addr+uint64(i)*stride, 8, 1)
+			fallthrough
+		case 2:
+			e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
+			fallthrough
+		default:
+			e.Branch(i < n-1, start)
+		}
+	}
 }
 
 // WriteLines models a write sweep (e.g. zeroing a page) over n lines.
@@ -227,10 +279,21 @@ func (e Emitter) WriteLines(addr uint64, n int, stride uint64) {
 	if stride == 0 {
 		stride = 64
 	}
-	e.Loop(n, func(i int) {
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 3})
-		e.Store(addr+uint64(i)*stride, 64)
-	})
+	start := e.m.cursor.PC
+	j := e.skip(&writeLinesRun, start, 3*n)
+	for i, k := j/3, j%3; i < n; i, k = i+1, 0 {
+		switch k {
+		case 0:
+			e.m.cursor.PC = start
+			e.emit(isa.Inst{Op: isa.ALU, Dep: 3})
+			fallthrough
+		case 1:
+			e.Store(addr+uint64(i)*stride, 64)
+			fallthrough
+		default:
+			e.Branch(i < n-1, start)
+		}
+	}
 }
 
 // ChaseList models dependent pointer chasing through the given node
@@ -240,18 +303,27 @@ func (e Emitter) WriteLines(addr uint64, n int, stride uint64) {
 // iteration's load therefore names the producer three instructions back.
 func (e Emitter) ChaseList(nodes []uint64) {
 	start := e.m.cursor.PC
-	for i, a := range nodes {
-		e.m.cursor.PC = start
-		dep := uint8(3) // the previous iteration's load
-		if i == 0 {
-			dep = 0 // head pointer is already in a register
+	n := len(nodes)
+	j := e.skip(&chaseListRun, start, 3*n)
+	for i, k := j/3, j%3; i < n; i, k = i+1, 0 {
+		switch k {
+		case 0:
+			e.m.cursor.PC = start
+			dep := uint8(3) // the previous iteration's load
+			if i == 0 {
+				dep = 0 // head pointer is already in a register
+			}
+			e.Load(nodes[i], 8, dep)
+			fallthrough
+		case 1:
+			e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
+			fallthrough
+		default:
+			e.Branch(i < n-1, start)
 		}
-		e.Load(a, 8, dep)
-		e.emit(isa.Inst{Op: isa.ALU, Dep: 1})
-		e.Branch(i < len(nodes)-1, start)
 		e.m.cursor.PC = start
 	}
-	if len(nodes) > 0 {
+	if n > 0 {
 		e.m.cursor.PC = start + 12
 	}
 }

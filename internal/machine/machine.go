@@ -12,6 +12,7 @@ package machine
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -510,6 +511,106 @@ func (m *Machine) advanceVirtual() {
 		m.virtFrac -= float64(chunk)
 		m.core.SkipTo(m.core.Now() + chunk)
 	}
+}
+
+// runShape describes the fixed-shape instruction run of one Emitter helper
+// to fastForward: iterations of period instructions, with bit q of each mask
+// set when position q is a load, store or branch. A loop run replays every
+// iteration from its start PC and ends each one with a back-branch (position
+// period-1) that is taken except in the last iteration; a straight-line run
+// advances the PC by 4 per instruction.
+type runShape struct {
+	period                  int
+	loads, stores, branches uint8
+	loop                    bool
+}
+
+// count returns how many of the run's instructions [a, a+n) sit at the
+// positions in mask: each whole period holds every position once, and the
+// last n%period instructions are checked one by one.
+func (sh *runShape) count(mask uint8, a, n int) uint64 {
+	if mask == 0 {
+		return 0
+	}
+	p := sh.period
+	c := n / p * bits.OnesCount8(mask)
+	for j := a + n - n%p; j < a+n; j++ {
+		c += int(mask >> (j % p) & 1)
+	}
+	return uint64(c)
+}
+
+// fastForward accounts instructions [0, n) of a fixed-shape run (loop runs
+// start at PC start) while the machine fast-forwards an emulated OS service,
+// with exactly the effects that emitting them one at a time through Exec
+// would have. It works in segments, looping only on the virtual-clock add.
+// A segment ends at the next cancellation poll (totalInsts&255 == 0), at a
+// virtual-clock flush, and after its first instruction when an event is
+// already due; counters and cursor are published before the events poll, so
+// an event fires at the instruction boundary Exec would fire it at and sees
+// the state Exec would show it. An event may switch threads or modes (a
+// preemption in an interrupt handler can reopen a detailed interval), so the
+// mode is checked again after each segment. The return value is the index
+// of the first instruction not accounted: n, or earlier when the machine
+// stopped fast-forwarding, in which case the helper emits the rest itself.
+func (m *Machine) fastForward(sh *runShape, start uint64, n int) int {
+	p := sh.period
+	j := 0
+	for j < n && m.emulating && m.inInterval && m.depth > 0 {
+		if m.totalInsts&255 == 0 && m.cancel.Load() != nil {
+			m.cursor.PC += 4 // where execStaged leaves it when Exec aborts
+			m.AbortIfCanceled()
+		}
+		lim := 256 - int(m.totalInsts&255)
+		if n-j < lim {
+			lim = n - j
+		}
+		if m.core.Now() >= m.next && !m.delivering {
+			lim = 1
+		}
+		f, cpi, k := m.virtFrac, m.virtCPI, 0
+		for k < lim {
+			f += cpi
+			k++
+			if f >= 512 {
+				break
+			}
+		}
+
+		u := uint64(k)
+		m.totalInsts += u
+		m.osInsts += u
+		m.emuInsts += u
+		m.emuTotal += u
+		m.curSig.Insts += u
+		m.curSig.Loads += sh.count(sh.loads, j, k)
+		m.curSig.Stores += sh.count(sh.stores, j, k)
+		m.curSig.Branches += sh.count(sh.branches, j, k)
+		// The cursor after the segment's last instruction: a loop iteration
+		// runs from start, unless the segment resumes one mid-way from
+		// wherever an event left the cursor.
+		last := j + k - 1
+		if sh.loop && (j%p == 0 || last/p != j/p) {
+			m.cursor.PC = start + uint64(4*(last%p+1))
+		} else {
+			m.cursor.PC += uint64(4 * k)
+		}
+		j += k
+
+		m.virtFrac = f
+		if f >= 512 {
+			chunk := uint64(f)
+			m.virtFrac = f - float64(chunk)
+			m.core.SkipTo(m.core.Now() + chunk)
+		}
+		if m.core.Now() >= m.next {
+			m.pollEvents()
+		}
+		if sh.loop && j%p == 0 && j < n {
+			m.cursor.PC = start // the taken back-branch, after any event
+		}
+	}
+	return j
 }
 
 // KEnter records entry into kernel mode for service svc. The first-level
