@@ -352,6 +352,30 @@ func BenchmarkCacheAccessResident(b *testing.B) {
 	}
 }
 
+// BenchmarkDataMissStream measures the memory hierarchy's miss path: a
+// streaming Hierarchy.Data sweep of one 8-byte load per line over 4 MB, four
+// times the L2, so every access misses both levels and goes through MSHR
+// admission, the bus and DRAM. Loads issue every 4 cycles, faster than the
+// bus drains them, so the MSHR file stays full.
+func BenchmarkDataMissStream(b *testing.B) {
+	h := memsys.New(memsys.DefaultConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Data(uint64(i%65536)*64, 8, uint64(i)*4, false, cache.OwnerApp)
+	}
+}
+
+// BenchmarkTouchPhantoms measures replaying a fast-forwarded service's
+// phantom working set: 1,000 L1D lines (four times its capacity) and 512 L2
+// lines per op, from the same base each time as a recurring service does.
+func BenchmarkTouchPhantoms(b *testing.B) {
+	h := memsys.New(memsys.DefaultConfig())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.TouchPhantoms(0xF000_0000_0000_0000, 0, 1000, 512)
+	}
+}
+
 // emulateAll is an IntervalSink that fast-forwards every OS service.
 type emulateAll struct{ pred machine.Prediction }
 

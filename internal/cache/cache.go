@@ -284,6 +284,41 @@ func (c *Cache) Touch(addr uint64) {
 	}
 }
 
+// TouchRun is n Touch calls in order on consecutive lines: base, base plus
+// one block, and so on. Each set's touches are distinct lines, so once a set
+// has seen Assoc of them it holds exactly its last Assoc touched lines, and
+// every later touch misses and displaces a valid line. The touches that fill
+// each set's ways first (the first Assoc*sets of the run) go through Touch;
+// the rest are applied as one shift per set.
+func (c *Cache) TouchRun(base uint64, n int) {
+	head := min(n, c.assoc*c.numSets)
+	first := base >> c.blkShift
+	for i := 0; i < head; i++ {
+		c.Touch((first + uint64(i)) << c.blkShift)
+	}
+	tail := n - head
+	if tail <= 0 {
+		return
+	}
+	c.stamp += uint64(tail)
+	c.stats.PollutionEv += uint64(tail)
+	// Touch head+j+k*sets lands in the same set for every k; the set keeps
+	// its last min(m, assoc) touches, most recent first, above what it held.
+	for j := 0; j < min(tail, c.numSets); j++ {
+		m := tail / c.numSets
+		if j < tail%c.numSets {
+			m++
+		}
+		blk := first + uint64(head+j+(m-1)*c.numSets) // the set's last touch
+		set := c.set(int(blk & c.setMask))
+		k := min(m, c.assoc)
+		copy(set[k:], set[:c.assoc-k])
+		for r := 0; r < k; r++ {
+			set[r] = (blk - uint64(r*c.numSets)) | wayValid | wayOS
+		}
+	}
+}
+
 // InjectPollution models the working-set displacement an OS service would
 // have caused had it been simulated in detail (paper §4.5): it performs n
 // victim selections over uniformly random sets, assuming OS pollution is

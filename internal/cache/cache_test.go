@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -299,6 +300,62 @@ func FuzzCacheMatchesReference(f *testing.F) {
 				if set[i-1] == 0 && set[i] != 0 {
 					t.Fatalf("set %d has a valid way after an invalid one: %x", s, set)
 				}
+			}
+		}
+	})
+}
+
+// FuzzTouchRunMatchesTouch checks TouchRun against the Touch loop it stands
+// for. Two twin caches start from the same random mix of accesses (dirty
+// and clean, both owners) and invalidations; then one takes TouchRun(base,
+// n) and the other n Touch calls on consecutive lines from base. Ways,
+// stats and stamp must be equal after every run. Bases are arbitrary (not
+// line- or set-aligned) and n reaches four times the capacity.
+func FuzzTouchRunMatchesTouch(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, assoc := range []byte{0, 1, 3, 7, 15} {
+		for _, sets := range []byte{0, 2, 6} {
+			data := make([]byte, 4+5*40)
+			rng.Read(data)
+			data[0], data[1] = assoc, sets
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		cfg := Config{Name: "fuzz", Assoc: 1 + int(data[0]%16), BlockSize: 8 << (data[2] % 4)}
+		sets := 1 << (data[1] % 7)
+		cfg.Size = cfg.Assoc * cfg.BlockSize * sets
+		c, ref := New(cfg), New(cfg)
+		capacity := cfg.Assoc * sets
+		for k := 4; k+4 < len(data); k += 5 {
+			op, a, d := data[k]%4, data[k+1], data[k+3]
+			// Lines spread over twice the capacity, so runs revisit lines
+			// the accesses left behind; d offsets the base off line and set.
+			addr := uint64(int(a)*2*capacity/256*cfg.BlockSize) + uint64(d)
+			switch op {
+			case 0, 1:
+				owner, write := Owner(data[k+2]%2), op == 1
+				c.Access(addr, 1, write, owner)
+				ref.Access(addr, 1, write, owner)
+			case 2:
+				c.Invalidate(addr)
+				ref.Invalidate(addr)
+			case 3:
+				n := int(data[k+4]) * 4 * capacity / 255
+				c.TouchRun(addr, n)
+				for i := 0; i < n; i++ {
+					ref.Touch(addr + uint64(i*cfg.BlockSize))
+				}
+			}
+			if !slices.Equal(c.ways, ref.ways) {
+				t.Fatalf("op %d (%d) at %#x under %+v: ways\n%x\nTouch loop\n%x", k/5, op, addr, cfg, c.ways, ref.ways)
+			}
+			if c.Stats() != ref.Stats() || c.stamp != ref.stamp {
+				t.Fatalf("op %d (%d): stats %+v stamp %d, Touch loop %+v stamp %d",
+					k/5, op, c.Stats(), c.stamp, ref.Stats(), ref.stamp)
 			}
 		}
 	})

@@ -235,6 +235,20 @@ func (c *CrashFS) Stat(p string) (DirEntry, error) {
 	return DirEntry{}, &iofs.PathError{Op: "stat", Path: p, Err: iofs.ErrNotExist}
 }
 
+// Touch checks that p exists. Modification times are not modeled, and no
+// data changes, so it records no operation.
+func (c *CrashFS) Touch(p string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.charge(); err != nil {
+		return err
+	}
+	if _, ok := c.live[path.Clean(p)]; !ok {
+		return &iofs.PathError{Op: "touch", Path: p, Err: iofs.ErrNotExist}
+	}
+	return nil
+}
+
 type crashFile struct {
 	fs     *CrashFS
 	path   string

@@ -64,6 +64,8 @@ type FS interface {
 	// ReadDir lists dir sorted by name. A missing dir returns fs.ErrNotExist.
 	ReadDir(dir string) ([]DirEntry, error)
 	Stat(path string) (DirEntry, error)
+	// Touch sets an existing file's modification time to now.
+	Touch(path string) error
 }
 
 // AtomicWrite durably writes data to dir/name: temp file, fsync, rename,

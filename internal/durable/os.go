@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"syscall"
+	"time"
 )
 
 // OS returns the production FS: real files, real fsync.
@@ -48,6 +49,11 @@ func (osFS) SyncDir(dir string) error {
 }
 
 func (osFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
+
+func (osFS) Touch(path string) error {
+	now := time.Now()
+	return os.Chtimes(path, now, now)
+}
 
 func (osFS) ReadDir(dir string) ([]DirEntry, error) {
 	ents, err := os.ReadDir(dir)

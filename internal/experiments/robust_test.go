@@ -392,6 +392,26 @@ func TestAbortedTracesBounded(t *testing.T) {
 	}
 }
 
+// TestMemoDropsMachine: a memoized run keeps its statistics, not the machine
+// and kernel that ran it, so a long-lived scheduler's memory grows with its
+// results only.
+func TestMemoDropsMachine(t *testing.T) {
+	s := NewScheduler(Config{Scale: 0.05, Seed: 1, Parallelism: 1})
+	for _, mode := range []machine.SimMode{machine.FullSystem, machine.Accelerated} {
+		key := RunKey{Bench: "du", Mode: mode, Scale: 0.05, Seed: 1}.Key()
+		res, err := s.Get(key)
+		if err != nil {
+			t.Fatalf("%v: %v", key, err)
+		}
+		if res.Machine != nil || res.Kernel != nil {
+			t.Errorf("%v: memoized result holds its machine (%p) or kernel (%p)", key, res.Machine, res.Kernel)
+		}
+		if res.Stats.Insts == 0 {
+			t.Errorf("%v: memoized result lost its statistics", key)
+		}
+	}
+}
+
 // TestRunManyPartialResults: one failing experiment yields a nil slot and a
 // joined error while the other experiments' results come back intact.
 func TestRunManyPartialResults(t *testing.T) {

@@ -32,6 +32,10 @@ type runOutput struct {
 	smp      *sample.Sampler      // non-nil when the key carries a sampling spec
 	rec      *trace.Recorder      // non-nil when Config.Trace is set
 	transfer *transfer.Provenance // non-nil when the run imported donor priors
+	// warmSum is the checksum trailer of the warm-store file the run was
+	// replayed from or saved to (0 = none), so a flush can tell the file
+	// already holds the run's snapshot.
+	warmSum uint64
 }
 
 // outcome is the exported view of this output for serving front-ends.
@@ -68,7 +72,7 @@ type SchedStats struct {
 	WarmHits    int64 // runs replayed from an on-disk PLT snapshot without simulating
 	WarmMisses  int64 // eligible runs with no snapshot for their configuration
 	WarmInvalid int64 // snapshots rejected (corrupt, stale hash, or mismatched identity)
-	WarmSaves   int64 // snapshots written (per-run saves plus FlushWarm sweeps)
+	WarmSaves   int64 // snapshots written (per-run saves plus FlushWarm rewrites)
 	// PLTLearned sums the learned-instance counters of accelerated runs this
 	// process actually simulated; replayed runs contribute nothing, so a
 	// fully warm process reports ~0.
@@ -247,6 +251,7 @@ func (s *Scheduler) Stats() SchedStats {
 }
 
 // Get runs (or returns the memoized result of) the simulation key describes.
+// The result's Machine and Kernel are nil, as in Outcome.Result.
 func (s *Scheduler) Get(key RunKey) (workload.Result, error) {
 	out, err := s.get(s.cfg.context(), key, nil)
 	return out.res, err
@@ -357,6 +362,8 @@ func (st LookupStatus) String() string {
 
 // Outcome is the exported view of one memoized run, for serving front-ends.
 type Outcome struct {
+	// Result is the run's statistics and metrics. Its Machine and Kernel
+	// are nil: the memo does not keep the simulated machine.
 	Result workload.Result
 	// Accel is the run's acceleration engine (nil unless Accelerated); its
 	// Health feeds circuit-breaking degradation decisions.
@@ -515,7 +522,7 @@ func (s *Scheduler) execute(ctx context.Context, key RunKey, prior *core.AccelSt
 				s.sampleExtrap.Add(rep.Extrapolated)
 			}
 			if s.warmEligible(key) && out.acc != nil {
-				_ = s.warmSave(key, out) // best-effort: a failed write never fails the run
+				out.warmSum, _ = s.warmSave(key, out) // best-effort: a failed write never fails the run
 			}
 			return out, nil
 		}
@@ -600,6 +607,11 @@ func (s *Scheduler) executeOnce(ctx context.Context, key RunKey, attempt int, pr
 		opts.Sample = out.smp
 	}
 	res, err := workload.Run(key.Bench, opts)
+	// The memo keeps what a run reports, not the machine that ran it: no
+	// reader of a memoized run uses its Machine or Kernel, and keeping them
+	// would pin every run's caches, page tables and guest state for the
+	// scheduler's lifetime.
+	res.Machine, res.Kernel = nil, nil
 	out.res = res
 	return out, err
 }
@@ -701,7 +713,7 @@ func (s *Scheduler) warmReplay(key RunKey, prov *transfer.Provenance) (runOutput
 		return runOutput{}, false
 	}
 	id := key.identity()
-	snap, err := s.warm.Load(key.Bench, id.LearnHash())
+	snap, sum, err := s.warm.LoadSum(key.Bench, id.LearnHash())
 	if err != nil {
 		if errors.Is(err, pltstore.ErrNotFound) {
 			s.warmMisses.Add(1)
@@ -724,23 +736,32 @@ func (s *Scheduler) warmReplay(key RunKey, prov *transfer.Provenance) (runOutput
 		return runOutput{}, false
 	}
 	s.warmHits.Add(1)
-	return runOutput{res: workload.Result{Stats: snap.Stats}, acc: acc, transfer: prov}, true
+	return runOutput{res: workload.Result{Stats: snap.Stats}, acc: acc, transfer: prov, warmSum: sum}, true
 }
 
-// warmSave persists one successful run's snapshot and counts it.
-func (s *Scheduler) warmSave(key RunKey, out runOutput) error {
-	if err := s.warm.Save(key.identity().Snapshot(out.res.Stats, out.acc.Export(), out.transfer)); err != nil {
-		return err
+// warmSave persists one successful run's snapshot, counts it, and returns
+// the written file's checksum trailer.
+func (s *Scheduler) warmSave(key RunKey, out runOutput) (uint64, error) {
+	sum, err := s.warm.SaveSum(key.identity().Snapshot(out.res.Stats, out.acc.Export(), out.transfer))
+	if err != nil {
+		return 0, err
 	}
 	s.warmSaves.Add(1)
-	return nil
+	return sum, nil
 }
 
 // FlushWarm sweeps every completed successful accelerated run into the warm
 // store — the authoritative drain-time save (server.WriteArtifacts calls it),
 // catching any run whose best-effort per-run save failed. It waits for
 // in-flight runs to finish. A scheduler without a warm store is a no-op.
-// The returned count is how many snapshots were written by this sweep.
+//
+// A run whose snapshot file is intact and still ends in the checksum trailer
+// the run last read or wrote there already holds exactly the bytes a save
+// would write (encoding is deterministic, and a replay re-encodes to the
+// file it was read from), so it is not rewritten: only its modification time
+// is refreshed, keeping WarmSnapshotPath's newest-first choice as a rewrite
+// would leave it. The returned count is how many snapshots the sweep left
+// current on disk, written or refreshed; WarmSaves counts only the writes.
 func (s *Scheduler) FlushWarm() (int, error) {
 	return s.FlushWarmCtx(context.Background())
 }
@@ -762,13 +783,17 @@ func (s *Scheduler) FlushWarmCtx(ctx context.Context) (int, error) {
 		if e.err != nil || e.out.acc == nil {
 			return
 		}
-		if err := s.warmSave(key, e.out); err != nil {
+		if e.out.warmSum != 0 && s.warm.Refresh(key.Bench, key.identity().LearnHash(), e.out.warmSum) {
+			saved++
+			return
+		}
+		if _, err := s.warmSave(key, e.out); err != nil {
 			errs = append(errs, err)
 			return
 		}
 		saved++
 	}
-	// Pass 1: everything already finished is saved unconditionally — a
+	// Pass 1: everything already finished is flushed unconditionally — a
 	// near-expired deadline still flushes all completed work.
 	var pending []RunKey
 	for key, e := range entries {

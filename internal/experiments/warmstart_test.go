@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"testing"
 
 	"fssim/internal/core"
+	"fssim/internal/durable"
 	"fssim/internal/pltstore"
 )
 
@@ -232,6 +234,58 @@ func TestFlushWarm(t *testing.T) {
 	if n, err := NewScheduler(Config{Scale: 0.1}).FlushWarm(); n != 0 || err != nil {
 		t.Errorf("FlushWarm without store = (%d, %v), want (0, nil)", n, err)
 	}
+}
+
+// TestFlushWarmSkipsUnchangedSnapshots: a replayed run re-encodes to the
+// exact bytes it was read from, so the drain-time flush after it (and after
+// a run this scheduler saved itself) confirms the file instead of rewriting
+// it: no durable operation, no save counted, the snapshot still flushed.
+func TestFlushWarmSkipsUnchangedSnapshots(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long: simulates an accelerated run")
+	}
+	cfs := durable.NewCrashFS()
+	cfg := warmTestConfig("warm")
+	cfg.warmFS = cfs
+	key := cfg.accelKey("ab-rand", core.Statistical, 0)
+	flushIsNoWrite := func(s *Scheduler, saves int64) {
+		t.Helper()
+		ops := cfs.OpsLen()
+		if n, err := s.FlushWarm(); err != nil || n != 1 {
+			t.Fatalf("FlushWarm = (%d, %v), want (1, nil)", n, err)
+		}
+		if got := cfs.OpsLen() - ops; got != 0 {
+			t.Errorf("flush of an unchanged snapshot did %d durable operations, want 0", got)
+		}
+		if st := s.Stats(); st.WarmSaves != saves {
+			t.Errorf("WarmSaves = %d after the flush, want %d", st.WarmSaves, saves)
+		}
+	}
+
+	cold := NewScheduler(cfg)
+	if _, err := cold.Get(key); err != nil {
+		t.Fatal(err)
+	}
+	flushIsNoWrite(cold, 1)
+
+	warm := NewScheduler(cfg)
+	if _, err := warm.Get(key); err != nil {
+		t.Fatal(err)
+	}
+	if st := warm.Stats(); st.WarmHits != 1 || st.WarmSaves != 0 {
+		t.Fatalf("second scheduler: %d warm hits, %d saves; want a replay and no save", st.WarmHits, st.WarmSaves)
+	}
+	file, err := cfs.ReadFile(pltstore.OpenFS("warm", cfs).Path(key.Bench, key.identity().LearnHash()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm.mu.Lock()
+	out := warm.runs[key].out
+	warm.mu.Unlock()
+	if got := pltstore.Encode(key.identity().Snapshot(out.res.Stats, out.acc.Export(), out.transfer)); !bytes.Equal(got, file) {
+		t.Fatalf("replayed run re-encodes to %d bytes differing from the %d-byte file", len(got), len(file))
+	}
+	flushIsNoWrite(warm, 0)
 }
 
 // TestWarmDirValidation rejects a warm dir that exists as a regular file.

@@ -1,10 +1,12 @@
 package kernel
 
 import (
+	"math/rand"
 	"testing"
 
 	"fssim/internal/isa"
 	"fssim/internal/machine"
+	"fssim/internal/memsim"
 )
 
 func newTestKernel(mode machine.SimMode) (*machine.Machine, *Kernel) {
@@ -324,6 +326,61 @@ func TestPageFaultsOnHeap(t *testing.T) {
 	if faults != 16 || procFaults != 16 {
 		t.Fatalf("faults = %d (observer) / %d (proc), want 16", faults, procFaults)
 	}
+}
+
+// TestDemandPagingMatchesMapModel pins which heap pages are present, and
+// the fault count, against a map of faulted pages. Loads, stores and sweeps
+// land on random, possibly page-straddling addresses around a heap that
+// grows in steps past several 64-page bitmap words; addresses outside the
+// heap must not fault. The body runs on a kernel thread, so it reports with
+// Errorf and returns rather than calling Fatal.
+func TestDemandPagingMatchesMapModel(t *testing.T) {
+	_, k := newTestKernel(machine.FullSystem)
+	rng := rand.New(rand.NewSource(7))
+	k.Spawn("pager", func(p *Proc) {
+		model := map[uint64]bool{}
+		var faults uint64
+		apply := func(addr uint64, size int) {
+			for pg := memsim.PageOf(addr); pg <= addr+uint64(size)-1; pg += memsim.PageSize {
+				if p.pagedRegion(pg) && !model[pg] {
+					model[pg] = true
+					faults++
+				}
+			}
+		}
+		for step := 0; step < 4; step++ {
+			p.Brk(40 * memsim.PageSize)
+			span := p.brk - p.heapStart
+			for i := 0; i < 60; i++ {
+				addr := p.heapStart - 2*memsim.PageSize + uint64(rng.Int63n(int64(span+4*memsim.PageSize)))
+				switch size := 1 + rng.Intn(96); rng.Intn(3) {
+				case 0:
+					p.U.Load(addr, size, 0)
+					apply(addr, size)
+				case 1:
+					p.U.Store(addr, size)
+					apply(addr, size)
+				case 2:
+					p.U.ScanLines(addr, size, 0)
+					apply(addr, size*64)
+				}
+				if p.Faults() != faults {
+					t.Errorf("step %d access %d at %#x: %d faults, model %d", step, i, addr, p.Faults(), faults)
+					return
+				}
+			}
+			for pg := p.heapStart; pg < p.brk; pg += memsim.PageSize {
+				if p.mapped(pg) != model[pg] {
+					t.Errorf("step %d: page %#x mapped=%v, model %v", step, pg, p.mapped(pg), model[pg])
+					return
+				}
+			}
+		}
+		if faults < 64 {
+			t.Errorf("only %d faults: the test never crossed a bitmap word", faults)
+		}
+	})
+	k.Run()
 }
 
 func TestCloneWaitpidExit(t *testing.T) {

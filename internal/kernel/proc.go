@@ -20,7 +20,7 @@ type Proc struct {
 
 	brk       uint64
 	heapStart uint64
-	present   map[uint64]bool // demand-paged pages currently mapped
+	present   []uint64 // demand-paged heap pages mapped, one bit per page from heapStart
 	faults    uint64
 
 	scratch uint64 // pre-faulted user I/O buffer (stack-like)
@@ -33,7 +33,6 @@ func newProc(k *Kernel, t *Thread) *Proc {
 		fds:     make(map[int]*File),
 		nextFd:  3,
 		cwd:     k.fs.root,
-		present: make(map[uint64]bool),
 		scratch: k.m.Lay.UserStack.AllocAligned(128<<10, memsim.PageSize),
 	}
 	p.heapStart = k.m.Lay.UserHeap.AllocAligned(0, memsim.PageSize)
@@ -121,17 +120,28 @@ func (p *Proc) touch(addr uint64, size int) {
 		return
 	}
 	for pg := memsim.PageOf(addr); pg <= end; pg += memsim.PageSize {
-		if p.pagedRegion(pg) && !p.present[pg] {
+		if p.pagedRegion(pg) && !p.mapped(pg) {
 			p.pageFault(pg)
 		}
 	}
+}
+
+// mapped reports whether heap page pg has been faulted in. The heap only
+// grows and pages are never unmapped, so the bitmap only gains bits.
+func (p *Proc) mapped(pg uint64) bool {
+	i := (pg - p.heapStart) / memsim.PageSize
+	return i/64 < uint64(len(p.present)) && p.present[i/64]&(1<<(i%64)) != 0
 }
 
 // pageFault runs the demand-paging exception handler: VMA lookup, a buddy
 // allocation, and clearing the fresh page (the dominant cost).
 func (p *Proc) pageFault(page uint64) {
 	p.faults++
-	p.present[page] = true
+	i := (page - p.heapStart) / memsim.PageSize
+	for uint64(len(p.present)) <= i/64 {
+		p.present = append(p.present, 0)
+	}
+	p.present[i/64] |= 1 << (i % 64)
 	k := p.k
 	e := k.e
 	k.m.KEnter(isa.Exc(isa.ExcPageFault))

@@ -6,6 +6,7 @@
 package memsys
 
 import (
+	"fmt"
 	"math/rand"
 
 	"fssim/internal/cache"
@@ -80,8 +81,13 @@ type Hierarchy struct {
 	itlb *cache.Cache // nil unless TLB modeling is enabled
 	dtlb *cache.Cache
 
-	busFree    uint64 // cycle at which the memory bus is next idle
-	inflight   []miss // outstanding line fills (MSHR + coalescing)
+	busFree uint64 // cycle at which the memory bus is next idle
+	// mshr is a ring of the outstanding line fills (MSHRs + coalescing),
+	// oldest first, holding n entries from head. Fills are appended in
+	// non-decreasing ready order (see memFill), so the head is always the
+	// earliest to retire.
+	mshr       []miss
+	head, n    int
 	dram       uint64 // DRAM accesses (fills + writebacks)
 	prefetches uint64
 }
@@ -91,13 +97,22 @@ type miss struct {
 	ready uint64
 }
 
-// New builds a hierarchy from cfg.
+// New builds a hierarchy from cfg. MSHRs must be at least 1, and the
+// latencies and bus occupancy must not be negative.
 func New(cfg Config) *Hierarchy {
+	if cfg.MSHRs < 1 {
+		panic(fmt.Sprintf("memsys: MSHRs=%d, need at least 1", cfg.MSHRs))
+	}
+	if cfg.MemLatency < 0 || cfg.BusOccupancy < 0 ||
+		cfg.L1I.HitLatency < 0 || cfg.L1D.HitLatency < 0 || cfg.L2.HitLatency < 0 {
+		panic(fmt.Sprintf("memsys: negative latency or bus occupancy in %+v", cfg))
+	}
 	h := &Hierarchy{
-		cfg: cfg,
-		l1i: cache.New(cfg.L1I),
-		l1d: cache.New(cfg.L1D),
-		l2:  cache.New(cfg.L2),
+		cfg:  cfg,
+		l1i:  cache.New(cfg.L1I),
+		l1d:  cache.New(cfg.L1D),
+		l2:   cache.New(cfg.L2),
+		mshr: make([]miss, cfg.MSHRs),
 	}
 	if cfg.TLBEntries > 0 {
 		tlbCfg := func(name string) cache.Config {
@@ -170,24 +185,26 @@ func (h *Hierarchy) DRAMAccesses() uint64 { return h.dram }
 // memFill models one line fill from DRAM starting no earlier than cycle now:
 // MSHR admission, coalescing with an in-flight fill of the same line, bus
 // arbitration, and DRAM latency. It returns the cycle the line is available.
+//
+// busFree never decreases (memFill, writebackToMem and InjectBusTraffic only
+// raise it), and every fill starts at or after it, so fills are appended in
+// non-decreasing ready order: retiring the fills ready by some cycle drops a
+// prefix of the ring, and the earliest MSHR to retire is its head.
 func (h *Hierarchy) memFill(lineAddr, now uint64) uint64 {
 	// Coalesce with an outstanding fill of the same line.
 	h.reap(now)
-	for _, m := range h.inflight {
-		if m.line == lineAddr {
-			return m.ready
+	for i, j := 0, h.head; i < h.n; i++ {
+		if h.mshr[j].line == lineAddr {
+			return h.mshr[j].ready
+		}
+		if j++; j == len(h.mshr) {
+			j = 0
 		}
 	}
 	start := now
 	// MSHR admission: if all MSHRs busy, wait for the earliest to retire.
-	if len(h.inflight) >= h.cfg.MSHRs {
-		earliest := h.inflight[0].ready
-		for _, m := range h.inflight[1:] {
-			if m.ready < earliest {
-				earliest = m.ready
-			}
-		}
-		if earliest > start {
+	if h.n == len(h.mshr) {
+		if earliest := h.mshr[h.head].ready; earliest > start {
 			start = earliest
 		}
 		h.reap(start)
@@ -200,18 +217,23 @@ func (h *Hierarchy) memFill(lineAddr, now uint64) uint64 {
 	h.busFree = start + uint64(h.cfg.BusOccupancy)
 	ready := start + uint64(h.cfg.MemLatency)
 	h.dram++
-	h.inflight = append(h.inflight, miss{line: lineAddr, ready: ready})
+	tail := h.head + h.n
+	if tail >= len(h.mshr) {
+		tail -= len(h.mshr)
+	}
+	h.mshr[tail] = miss{line: lineAddr, ready: ready}
+	h.n++
 	return ready
 }
 
+// reap retires the fills that are ready by cycle now: a prefix of the ring.
 func (h *Hierarchy) reap(now uint64) {
-	kept := h.inflight[:0]
-	for _, m := range h.inflight {
-		if m.ready > now {
-			kept = append(kept, m)
+	for h.n > 0 && h.mshr[h.head].ready <= now {
+		if h.head++; h.head == len(h.mshr) {
+			h.head = 0
 		}
+		h.n--
 	}
-	h.inflight = kept
 }
 
 // writebackToMem models a dirty L2 eviction: it consumes a bus slot but does
@@ -260,8 +282,12 @@ func (h *Hierarchy) Data(addr uint64, size int, now uint64, isWrite bool, owner 
 	if size <= 0 {
 		size = 1
 	}
-	now = h.tlbLookup(h.dtlb, addr, now, owner)
 	bs := uint64(h.cfg.L1D.BlockSize)
+	// Fast path: no TLB and the access stays within one line.
+	if off := addr & (bs - 1); h.dtlb == nil && off+uint64(size) <= bs {
+		return h.dataLine(addr-off, (size+7)/8, now, isWrite, owner)
+	}
+	now = h.tlbLookup(h.dtlb, addr, now, owner)
 	first := h.l1d.LineAddr(addr)
 	last := h.l1d.LineAddr(addr + uint64(size) - 1)
 	avail := now
@@ -337,22 +363,17 @@ func (h *Hierarchy) InjectPollution(l1i, l1d, l2 int, rng *rand.Rand) {
 }
 
 // TouchPhantoms replays a fast-forwarded service's per-level working sets:
-// `lines` line-granular touches starting at base into each level. The same
-// base is reused across invocations of the same service, so the phantom
-// working set stays resident when touched repeatedly and displaces other
-// lines exactly once — the way the real service's recurring footprint
-// behaves (refining paper §4.5's uniform-random eviction model, which
-// over-displaces when the service reuses its own lines).
+// per level, that many consecutive lines from base's line, touched in order
+// (Cache.TouchRun). The same base is reused across invocations of the same
+// service, so the phantom working set stays resident when touched
+// repeatedly and displaces other lines exactly once — the way the real
+// service's recurring footprint behaves (refining paper §4.5's
+// uniform-random eviction model, which over-displaces when the service
+// reuses its own lines).
 func (h *Hierarchy) TouchPhantoms(base uint64, l1i, l1d, l2 int) {
-	for i := 0; i < l1i; i++ {
-		h.l1i.Touch(base + uint64(i)*64)
-	}
-	for i := 0; i < l1d; i++ {
-		h.l1d.Touch(base + uint64(i)*64)
-	}
-	for i := 0; i < l2; i++ {
-		h.l2.Touch(base + uint64(i)*64)
-	}
+	h.l1i.TouchRun(base, l1i)
+	h.l1d.TouchRun(base, l1d)
+	h.l2.TouchRun(base, l2)
 }
 
 // Snapshot captures the stats of all three levels.

@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 
 	"fssim/internal/cache"
@@ -49,7 +51,11 @@ func TestCoalescing(t *testing.T) {
 	h := New(DefaultConfig())
 	a := h.Data(0x200_0000, 8, 10, false, cache.OwnerApp)
 	// Second request to the same line while in flight coalesces: same
-	// completion, no extra DRAM transaction.
+	// completion, no extra DRAM transaction. The line is dropped from both
+	// levels first (as a flush would), so the request misses again and
+	// reaches the MSHR file instead of hitting the L1D.
+	h.l1d.Invalidate(0x200_0000)
+	h.l2.Invalidate(0x200_0000)
 	dram := h.DRAMAccesses()
 	b := h.Data(0x200_0008, 8, 12, false, cache.OwnerApp)
 	if h.DRAMAccesses() != dram {
@@ -228,4 +234,130 @@ func TestPrefetchEvictsLikeDemandFill(t *testing.T) {
 	if app, os := h.l2.OwnedLines(); app != 2 || os != 7 {
 		t.Errorf("L2 owned (app %d, os %d), want (2, 7): prefetch takes the demand owner", app, os)
 	}
+}
+
+// TestNewRejectsBadConfig: a hierarchy without MSHRs, or with a negative
+// latency or bus occupancy, is refused at construction with a clear message
+// instead of failing on the first miss.
+func TestNewRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		want string
+	}{
+		{"zero MSHRs", func(c *Config) { c.MSHRs = 0 }, "MSHRs=0"},
+		{"negative MSHRs", func(c *Config) { c.MSHRs = -2 }, "MSHRs=-2"},
+		{"negative memory latency", func(c *Config) { c.MemLatency = -1 }, "negative latency"},
+		{"negative bus occupancy", func(c *Config) { c.BusOccupancy = -40 }, "negative latency"},
+		{"negative L1D hit latency", func(c *Config) { c.L1D.HitLatency = -2 }, "negative latency"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tc.edit(&cfg)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("New panicked with %q, want a message containing %q", msg, tc.want)
+				}
+			}()
+			New(cfg)
+		})
+	}
+	cfg := DefaultConfig()
+	cfg.MSHRs, cfg.BusOccupancy = 1, 0
+	h := New(cfg) // the smallest valid file
+	if a, b := h.Data(0x1000, 8, 0, false, cache.OwnerApp), h.Data(0x2000, 8, 0, false, cache.OwnerApp); b <= a {
+		t.Errorf("second miss on a one-MSHR file ready at %d, not after the first (%d)", b, a)
+	}
+}
+
+// FuzzMemFillMatchesReference drives New's hierarchy and the reference in
+// ref_test.go (the slice-based MSHR file and the straddle-loop Data path)
+// through the same random Data, Fetch and InjectBusTraffic calls, with
+// cycles that jump backwards as well as forwards, 1-16 MSHRs, a bus
+// occupancy of 0 included, prefetch and TLBs on and off, and lines dropped
+// from the caches while their fills are in flight. After every
+// call the returned cycle, DRAMAccesses, busFree, prefetches and Stats must
+// be equal.
+func FuzzMemFillMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, mshrs := range []byte{0, 3, 7, 15} {
+		for _, opts := range []byte{0, 1, 2, 3, 4, 7} {
+			data := make([]byte, 4+4*300)
+			rng.Read(data)
+			data[0], data[1] = mshrs, opts
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		cfg := DefaultConfig()
+		// Small caches, so misses reach the MSHR file often and lines leave
+		// the L2 while their fills are still in flight.
+		cfg.L1I.Size, cfg.L1D.Size, cfg.L2.Size = 1<<10, 1<<10, 2<<10
+		cfg.MSHRs = 1 + int(data[0]%16)
+		cfg.BusOccupancy = []int{0, 1, 7, 40}[data[1]>>2%4]
+		cfg.MemLatency = []int{0, 30, 300}[data[3]%3]
+		cfg.Prefetch = data[1]&1 != 0
+		if data[1]&2 != 0 {
+			cfg = cfg.WithTLB()
+		}
+		h, ref := New(cfg), newRef(cfg)
+		now, last := uint64(data[2])*100, uint64(0)
+		for k := 4; k+3 < len(data); k += 4 {
+			op, a, b, d := data[k], data[k+1], data[k+2], data[k+3]
+			// Addresses over 16 KB: enough lines to thrash the small caches
+			// and revisit lines while their fills are still in flight.
+			addr := uint64(a&63)<<8 | uint64(b)
+			// Mostly forward in small steps, sometimes back by up to a DRAM
+			// latency.
+			if d < 32 && now >= 300 {
+				now -= uint64(d) * 9
+			} else {
+				now += uint64(d) / 16
+			}
+			owner := cache.Owner(op >> 7)
+			var got, want uint64
+			switch op % 8 {
+			case 0, 1, 2, 3, 4:
+				size, write := int(op>>3%16)*5-4, op%8 >= 3
+				got = h.Data(addr, size, now, write, owner)
+				want = ref.Data(addr, size, now, write, owner)
+			case 5, 6:
+				got, want = h.Fetch(addr, now, owner), ref.Fetch(addr, now, owner)
+			case 7:
+				switch sub := op >> 3 % 4; sub {
+				case 0, 1:
+					h.InjectBusTraffic(int(b%4), now)
+					ref.InjectBusTraffic(int(b%4), now)
+				case 2, 3:
+					// Drop the last line accessed (or everything) and ask
+					// for it again: its fill may still be in flight, and the
+					// new miss must coalesce with it.
+					for _, c := range []*cache.Cache{h.l1d, h.l2, ref.l1d, ref.l2} {
+						if sub == 2 {
+							c.Invalidate(last)
+						} else {
+							c.InvalidateAll()
+						}
+					}
+					got = h.Data(last, 8, now, false, owner)
+					want = ref.Data(last, 8, now, false, owner)
+				}
+			}
+			last = addr
+			if got != want || h.DRAMAccesses() != ref.dram || h.busFree != ref.busFree || h.Prefetches() != ref.prefetches {
+				t.Fatalf("call %d (op %d, addr %#x, now %d) under %+v: ready %d dram %d bus %d prefetches %d; reference %d %d %d %d",
+					k/4-1, op%8, addr, now, cfg, got, h.DRAMAccesses(), h.busFree, h.Prefetches(), want, ref.dram, ref.busFree, ref.prefetches)
+			}
+			if h.Stats() != ref.Stats() {
+				t.Fatalf("call %d: stats %+v, reference %+v", k/4-1, h.Stats(), ref.Stats())
+			}
+			if h.n != len(ref.inflight) {
+				t.Fatalf("call %d: %d fills in flight, reference %d", k/4-1, h.n, len(ref.inflight))
+			}
+		}
+	})
 }

@@ -88,6 +88,20 @@ func Encode(s *Snapshot) []byte {
 	return e.buf
 }
 
+// trailer returns the checksum snapshot bytes end in (at least 8 bytes).
+func trailer(data []byte) uint64 { return binary.LittleEndian.Uint64(data[len(data)-8:]) }
+
+// checksumOK reports whether data ends in the FNV-1a checksum of the bytes
+// before it.
+func checksumOK(data []byte) bool {
+	if len(data) < 8 {
+		return false
+	}
+	h := fnv.New64a()
+	h.Write(data[:len(data)-8])
+	return h.Sum64() == trailer(data)
+}
+
 // Decode parses snapshot bytes, verifying the checksum before interpreting
 // anything else. It returns a *FormatError for any malformed input and never
 // panics; a nil error means the bytes are structurally valid (semantic
@@ -96,10 +110,8 @@ func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(snapshotMagic)+4+8 {
 		return nil, &FormatError{Off: len(data), Msg: "truncated header"}
 	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if got, want := h.Sum64(), binary.LittleEndian.Uint64(trailer); got != want {
+	body := data[:len(data)-8]
+	if !checksumOK(data) {
 		return nil, &FormatError{Off: len(body), Msg: "checksum mismatch"}
 	}
 	d := &decoder{data: body}

@@ -417,8 +417,15 @@ func (s *Store) sweepOrphans() int {
 // (plus at worst an orphan temp for the next sweep). The first save also
 // sweeps orphan temps left by earlier crashed processes.
 func (s *Store) Save(snap *Snapshot) error {
+	_, err := s.SaveSum(snap)
+	return err
+}
+
+// SaveSum is Save that also returns the checksum trailer of the bytes it
+// wrote, for a later Refresh.
+func (s *Store) SaveSum(snap *Snapshot) (uint64, error) {
 	if err := snap.Validate(); err != nil {
-		return fmt.Errorf("pltstore: refusing to save: %w", err)
+		return 0, fmt.Errorf("pltstore: refusing to save: %w", err)
 	}
 	if s.swept.CompareAndSwap(false, true) {
 		s.sweepOrphans()
@@ -426,10 +433,24 @@ func (s *Store) Save(snap *Snapshot) error {
 	path := s.Path(snap.Benchmark, snap.LearnHash)
 	data := Encode(snap)
 	if err := durable.AtomicWrite(s.writeFS(), s.dir, filepath.Base(path), data); err != nil {
-		return fmt.Errorf("pltstore: %w", err)
+		return 0, fmt.Errorf("pltstore: %w", err)
 	}
 	s.updateIndex(indexEntry(snap, len(data)))
-	return nil
+	return trailer(data), nil
+}
+
+// Refresh reports whether the snapshot file at (bench, learnHash) is intact
+// and still ends in checksum trailer sum, as returned by the SaveSum that
+// wrote it or the LoadSum that read it. If so, it sets the file's
+// modification time to now, as rewriting the same bytes would, and a caller
+// holding that snapshot need not write it again.
+func (s *Store) Refresh(bench string, learnHash, sum uint64) bool {
+	path := s.Path(bench, learnHash)
+	data, err := s.fsys.ReadFile(path)
+	if err != nil || !checksumOK(data) || trailer(data) != sum {
+		return false
+	}
+	return s.fsys.Touch(path) == nil
 }
 
 // Load reads and fully validates the snapshot at the given address. It
@@ -438,11 +459,18 @@ func (s *Store) Save(snap *Snapshot) error {
 // the address, and core.ErrBadState-wrapped errors for semantically invalid
 // learner state. Only a nil error means the snapshot is safe to import.
 func (s *Store) Load(bench string, learnHash uint64) (*Snapshot, error) {
-	snap, err := s.LoadPath(s.Path(bench, learnHash))
-	if err == nil && snap.Benchmark != bench {
-		return nil, fmt.Errorf("%w: snapshot for %s/%016x describes %s", ErrMismatch, bench, learnHash, snap.Benchmark)
-	}
+	snap, _, err := s.LoadSum(bench, learnHash)
 	return snap, err
+}
+
+// LoadSum is Load that also returns the checksum trailer of the file it
+// read, for a later Refresh.
+func (s *Store) LoadSum(bench string, learnHash uint64) (*Snapshot, uint64, error) {
+	snap, sum, err := s.loadPath(s.Path(bench, learnHash))
+	if err == nil && snap.Benchmark != bench {
+		return nil, 0, fmt.Errorf("%w: snapshot for %s/%016x describes %s", ErrMismatch, bench, learnHash, snap.Benchmark)
+	}
+	return snap, sum, err
 }
 
 // Nearest returns the closest transfer-eligible donor snapshot in the given
@@ -484,14 +512,24 @@ func (s *Store) LoadAll() ([]*Snapshot, error) {
 // check that the filename agrees with the self-described identity. Only a
 // nil error means the snapshot is safe to import.
 func (s *Store) LoadPath(path string) (*Snapshot, error) {
+	snap, _, err := s.loadPath(path)
+	return snap, err
+}
+
+// loadPath is LoadPath plus the checksum trailer of the verified bytes.
+func (s *Store) loadPath(path string) (*Snapshot, uint64, error) {
 	data, err := s.fsys.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, iofs.ErrNotExist) {
-			return nil, ErrNotFound
+			return nil, 0, ErrNotFound
 		}
-		return nil, fmt.Errorf("pltstore: %w", err)
+		return nil, 0, fmt.Errorf("pltstore: %w", err)
 	}
-	return s.verify(path, data)
+	snap, err := s.verify(path, data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return snap, trailer(data), nil
 }
 
 // verify is the oracle every read and import goes through: size cap,

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"fssim/internal/core"
 	"fssim/internal/isa"
@@ -100,6 +101,56 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if _, err := s.Load("other-bench", snap.LearnHash); !errors.Is(err, ErrNotFound) {
 		t.Errorf("load of unsaved benchmark = %v, want ErrNotFound", err)
+	}
+}
+
+// TestRefresh: a file that still ends in the trailer SaveSum or LoadSum
+// returned is confirmed and its modification time moved to now; a rewritten
+// address, a flipped body byte or a deleted file is not confirmed.
+func TestRefresh(t *testing.T) {
+	s := Open(t.TempDir())
+	snap := richSnapshot()
+	sum, err := s.SaveSum(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := s.Path(snap.Benchmark, snap.LearnHash)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, loaded, err := s.LoadSum(snap.Benchmark, snap.LearnHash); err != nil || loaded != sum {
+		t.Fatalf("LoadSum = (%x, %v), want the saved trailer %x", loaded, err, sum)
+	}
+	old := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Refresh(snap.Benchmark, snap.LearnHash, sum) {
+		t.Fatal("Refresh did not confirm the file it saved")
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.ModTime().After(old.Add(time.Minute)) {
+		t.Errorf("Refresh left the modification time at %v (%v)", fi.ModTime(), err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+		t.Error("Refresh changed the file's bytes")
+	}
+	if s.Refresh(snap.Benchmark, snap.LearnHash, sum+1) {
+		t.Error("Refresh confirmed a different trailer")
+	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)/2] ^= 1
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s.Refresh(snap.Benchmark, snap.LearnHash, sum) {
+		t.Error("Refresh confirmed a file whose body no longer matches its checksum")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if s.Refresh(snap.Benchmark, snap.LearnHash, sum) {
+		t.Error("Refresh confirmed a deleted file")
 	}
 }
 
