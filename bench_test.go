@@ -10,8 +10,11 @@
 package fssim_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -551,6 +554,63 @@ func BenchmarkServerRunRequest(b *testing.B) {
 			b.Fatalf("cache status %q, want hit", res.Cache)
 		}
 	}
+}
+
+// restartSweep is serve-warm's accelerated sweep: the OS benchmarks at four
+// L2 sizes under two strategies, at scale 0.1.
+func restartSweep() []server.RunRequest {
+	var reqs []server.RunRequest
+	for _, bench := range workload.OSIntensiveNames() {
+		for _, l2 := range []int{256 << 10, 512 << 10, 1 << 20, 2 << 20} {
+			for _, strat := range []string{"statistical", "best-match"} {
+				reqs = append(reqs, server.RunRequest{Benchmark: bench, Mode: "accel",
+					Strategy: strat, L2: l2, Scale: 0.1, Seed: 1})
+			}
+		}
+	}
+	return reqs
+}
+
+// BenchmarkServerRestartReplay measures a warm restart of the serving
+// front-end: server.New over a warm directory holding the restartSweep's 40
+// snapshots (its startup Recover included), then one request per key, each
+// a pltstore replay. The sweep is simulated once, outside the timed loop.
+// Requests go straight to the handler, so no socket time is counted.
+func BenchmarkServerRestartReplay(b *testing.B) {
+	dir := b.TempDir()
+	reqs := restartSweep()
+	bodies := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	post := func(h http.Handler, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			b.Fatalf("POST %s: HTTP %d: %s", body, w.Code, w.Body)
+		}
+		return w
+	}
+	cold := server.New(server.Config{WarmDir: dir}).Handler()
+	for _, body := range bodies {
+		post(cold, body)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv := server.New(server.Config{WarmDir: dir})
+		h := srv.Handler()
+		for _, body := range bodies {
+			post(h, body)
+		}
+		if st := srv.Scheduler().Stats(); st.WarmHits != int64(len(reqs)) {
+			b.Fatalf("restart replayed %d of %d keys from the warm directory", st.WarmHits, len(reqs))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(reqs)), "us/snapshot")
 }
 
 func runOnce(b *testing.B, bench string, tweak func(*machine.Config)) machine.Stats {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strconv"
 	"strings"
 
 	"fssim/internal/core"
@@ -95,11 +96,15 @@ func (k RunKey) opts() uint64 {
 	return o
 }
 
-// String renders the key compactly for notes and error messages.
+// String renders the key compactly for notes and error messages. Run ids
+// and snapshot addresses hash it, so it keeps the bytes of its original fmt
+// form ("%s/%s/L2=%d/scale=%g" plus options); strconv builds it because
+// every served request renders it.
 func (k RunKey) String() string {
-	s := fmt.Sprintf("%s/%s/L2=%d/scale=%g", k.Bench, k.Mode, k.L2, k.Scale)
+	s := k.Bench + "/" + k.Mode.String() + "/L2=" + strconv.Itoa(k.L2) +
+		"/scale=" + strconv.FormatFloat(k.Scale, 'g', -1, 64)
 	if o := k.opts(); o != 0 {
-		s += fmt.Sprintf("/opts=%d", o)
+		s += "/opts=" + strconv.FormatUint(o, 10)
 	}
 	if k.Faults != "" {
 		s += "/faults=" + k.Faults
@@ -196,9 +201,10 @@ func (k RunKey) params() core.Params {
 // the imported priors and must never be mistaken for (or overwrite) the
 // cold-learned table of the identical configuration.
 func (k RunKey) identity() pltstore.Identity {
-	return pltstore.Identity{Bench: k.Bench, Machine: k.machine(), Params: k.params(),
+	mcfg := k.machine()
+	return pltstore.Identity{Bench: k.Bench, Machine: mcfg, Params: k.params(),
 		Scale: k.Scale, Faults: k.Faults, Transfer: k.Transfer,
-		Key: k.String(), Seed: k.DeriveSeed()}
+		Key: k.String(), Seed: mcfg.Seed}
 }
 
 // options builds the workload options of one attempt of key: scale, machine

@@ -713,7 +713,8 @@ func (s *Scheduler) warmReplay(key RunKey, prov *transfer.Provenance) (runOutput
 		return runOutput{}, false
 	}
 	id := key.identity()
-	snap, sum, err := s.warm.LoadSum(key.Bench, id.LearnHash())
+	learn := id.LearnHash()
+	snap, sum, err := s.warm.LoadSum(key.Bench, learn)
 	if err != nil {
 		if errors.Is(err, pltstore.ErrNotFound) {
 			s.warmMisses.Add(1)
@@ -722,7 +723,7 @@ func (s *Scheduler) warmReplay(key RunKey, prov *transfer.Provenance) (runOutput
 		}
 		return runOutput{}, false
 	}
-	if snap.ReplayHash != id.ReplayHash(prov) {
+	if snap.ReplayHash != id.ReplayHash(learn, prov) {
 		// Compatible learned state, but not this exact run (different base
 		// seed, or a transferred snapshot recorded under a different donor
 		// than this invocation resolved): exact replay would be wrong, so

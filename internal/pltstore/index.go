@@ -1,6 +1,7 @@
 package pltstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -93,15 +94,31 @@ func (s *Store) loadIndexCache() []IndexEntry {
 	return f.Snapshots
 }
 
+// encodeIndex sorts entries by address and renders them as INDEX bytes.
+func encodeIndex(entries []IndexEntry) ([]byte, error) {
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Addr() < entries[j].Addr() })
+	return json.Marshal(indexFile{Version: 1, Snapshots: entries})
+}
+
 // writeIndexCache rewrites the INDEX through the durable atomic path.
 // Best-effort: the cache is advisory, so an error only costs a rescan later.
 func (s *Store) writeIndexCache(entries []IndexEntry) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Addr() < entries[j].Addr() })
-	data, err := json.Marshal(indexFile{Version: 1, Snapshots: entries})
+	data, err := encodeIndex(entries)
 	if err != nil {
 		return
 	}
 	durable.AtomicWrite(s.writeFS(), s.dir, IndexFileName, data)
+}
+
+// indexHolds reports whether the INDEX file already holds exactly the bytes
+// writeIndexCache would write for entries. Callers hold idxMu.
+func (s *Store) indexHolds(entries []IndexEntry) bool {
+	want, err := encodeIndex(entries)
+	if err != nil {
+		return false
+	}
+	got, err := s.fsys.ReadFile(filepath.Join(s.dir, IndexFileName))
+	return err == nil && bytes.Equal(got, want)
 }
 
 // maybeWriteIndexCache rewrites the cache, except that an empty entry list
@@ -237,6 +254,7 @@ func (s *Store) PutVerified(bench string, learnHash uint64, data []byte) (*Snaps
 	if s.swept.CompareAndSwap(false, true) {
 		s.sweepOrphans()
 	}
+	s.drop(path)
 	if err := durable.AtomicWrite(s.writeFS(), s.dir, filepath.Base(path), data); err != nil {
 		return nil, fmt.Errorf("pltstore: %w", err)
 	}

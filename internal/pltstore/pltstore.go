@@ -197,13 +197,14 @@ func (id Identity) LearnHash() uint64 {
 	return LearnHashWith(id.Bench, id.Machine, id.Params, id.Scale, id.Faults, id.Transfer)
 }
 
-// ReplayHash is the identity's exact-replay address. A run that imported
+// ReplayHash is the identity's exact-replay address, given its learn hash
+// (id.LearnHash(), which callers compute once and pass). A run that imported
 // donor priors binds their provenance hash too (TransferReplayHash).
-func (id Identity) ReplayHash(prov *transfer.Provenance) uint64 {
+func (id Identity) ReplayHash(learn uint64, prov *transfer.Provenance) uint64 {
 	if prov != nil {
-		return TransferReplayHash(id.LearnHash(), id.Key, id.Seed, prov.Hash)
+		return TransferReplayHash(learn, id.Key, id.Seed, prov.Hash)
 	}
-	return ReplayHash(id.LearnHash(), id.Key, id.Seed)
+	return ReplayHash(learn, id.Key, id.Seed)
 }
 
 // Family is the identity's sweep-family address (transfer.FamilyHash).
@@ -218,9 +219,10 @@ func (id Identity) Family() uint64 {
 // both marks the table as transferred (ineligible to donate further) and
 // binds its replay address to the exact donor and model imported.
 func (id Identity) Snapshot(stats machine.Stats, state *core.AccelState, prov *transfer.Provenance) *Snapshot {
+	learn := id.LearnHash()
 	snap := &Snapshot{
-		LearnHash:  id.LearnHash(),
-		ReplayHash: id.ReplayHash(prov),
+		LearnHash:  learn,
+		ReplayHash: id.ReplayHash(learn, prov),
 		Family:     id.Family(),
 		Coords:     transfer.FromConfig(id.Machine),
 		Benchmark:  id.Bench,
@@ -291,9 +293,12 @@ type Store struct {
 
 	// live tracks temp files owned by in-flight writers in this process so
 	// the orphan sweep never deletes a temp that is about to be renamed.
-	mu    sync.Mutex
-	live  map[string]bool
-	swept atomic.Bool // first-save orphan sweep has run (or Recover did)
+	// pending holds, by path, the files Recover verified that no load has
+	// claimed yet (see claim). mu guards both.
+	mu      sync.Mutex
+	live    map[string]bool
+	pending map[string]verified
+	swept   atomic.Bool // first-save orphan sweep has run (or Recover did)
 
 	// idxMu serializes read-modify-write cycles on the cached INDEX file.
 	// Separate from mu: the index rewrite goes through the durable write
@@ -431,6 +436,7 @@ func (s *Store) SaveSum(snap *Snapshot) (uint64, error) {
 		s.sweepOrphans()
 	}
 	path := s.Path(snap.Benchmark, snap.LearnHash)
+	s.drop(path)
 	data := Encode(snap)
 	if err := durable.AtomicWrite(s.writeFS(), s.dir, filepath.Base(path), data); err != nil {
 		return 0, fmt.Errorf("pltstore: %w", err)
@@ -516,18 +522,23 @@ func (s *Store) LoadPath(path string) (*Snapshot, error) {
 	return snap, err
 }
 
-// loadPath is LoadPath plus the checksum trailer of the verified bytes.
+// loadPath is LoadPath plus the checksum trailer of the verified bytes. The
+// first load of a file Recover verified takes Recover's snapshot when the
+// bytes read now are the bytes it verified; every other load verifies.
 func (s *Store) loadPath(path string) (*Snapshot, uint64, error) {
 	data, err := s.fsys.ReadFile(path)
 	if err != nil {
+		s.drop(path)
 		if errors.Is(err, iofs.ErrNotExist) {
 			return nil, 0, ErrNotFound
 		}
 		return nil, 0, fmt.Errorf("pltstore: %w", err)
 	}
-	snap, err := s.verify(path, data)
-	if err != nil {
-		return nil, 0, err
+	snap := s.claim(path, data)
+	if snap == nil {
+		if snap, err = s.verify(path, data); err != nil {
+			return nil, 0, err
+		}
 	}
 	return snap, trailer(data), nil
 }

@@ -1,6 +1,7 @@
 package pltstore
 
 import (
+	"bytes"
 	"errors"
 	iofs "io/fs"
 	"path/filepath"
@@ -35,7 +36,13 @@ func isSnapshotName(name string) bool { return strings.HasSuffix(name, ".plt") }
 // parsed), the structural decode, the filename-vs-header identity check, and
 // core's semantic validator. Files that fail are moved into QuarantineDir,
 // never deleted and never importable; files that pass are untouched,
-// bit-exact. The cached INDEX is rebuilt from the verified scan.
+// bit-exact. The cached INDEX is rebuilt from the verified scan; it is not
+// rewritten when it already holds exactly the rebuilt bytes.
+//
+// Recover keeps what it verified: the first load of each verified file takes
+// the decoded snapshot instead of verifying it again, provided the file
+// still holds the same bytes (see claim). Until then the store holds each
+// unclaimed file's bytes and snapshot in memory.
 //
 // Recover is idempotent and safe to call on a store that was shut down
 // cleanly (it finds nothing to do). Callers that skip it still get the
@@ -52,6 +59,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		return rep, err
 	}
 	var valid []IndexEntry
+	pending := make(map[string]verified)
 	for _, e := range entries {
 		if e.Dir {
 			continue
@@ -72,6 +80,7 @@ func (s *Store) Recover() (RecoveryReport, error) {
 		if data, err := s.fsys.ReadFile(p); err == nil {
 			if snap, err := s.verify(p, data); err == nil {
 				valid = append(valid, indexEntry(snap, len(data)))
+				pending[p] = verified{data: data, snap: snap}
 				continue
 			}
 		}
@@ -79,10 +88,45 @@ func (s *Store) Recover() (RecoveryReport, error) {
 			rep.Quarantined++
 		}
 	}
+	s.mu.Lock()
+	s.pending = pending
+	s.mu.Unlock()
 	s.idxMu.Lock()
-	s.maybeWriteIndexCache(valid)
+	if !s.indexHolds(valid) {
+		s.maybeWriteIndexCache(valid)
+	}
 	s.idxMu.Unlock()
 	return rep, nil
+}
+
+// verified is a snapshot file Recover read and verified: its bytes and the
+// snapshot they decode to.
+type verified struct {
+	data []byte
+	snap *Snapshot
+}
+
+// claim hands over the snapshot Recover verified at path if data, the bytes
+// a load just read there, equal the bytes Recover verified; nil sends the
+// load through verify. The entry is dropped either way, so a snapshot is
+// handed out at most once and never shared between loads.
+func (s *Store) claim(path string, data []byte) *Snapshot {
+	s.mu.Lock()
+	v, ok := s.pending[path]
+	delete(s.pending, path)
+	s.mu.Unlock()
+	if ok && bytes.Equal(v.data, data) {
+		return v.snap
+	}
+	return nil
+}
+
+// drop forgets Recover's entry for path, which a save is about to replace or
+// a load could not read.
+func (s *Store) drop(path string) {
+	s.mu.Lock()
+	delete(s.pending, path)
+	s.mu.Unlock()
 }
 
 // quarantine moves one failed snapshot file out of the load path. Falls back

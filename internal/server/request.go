@@ -1,10 +1,12 @@
 package server
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 
@@ -234,6 +236,7 @@ type SampleInfo struct {
 func RunID(key experiments.RunKey) string {
 	h := fnv.New64a()
 	io.WriteString(h, key.String())
-	fmt.Fprintf(h, "|seed=%d", key.Seed)
-	return fmt.Sprintf("r%016x", h.Sum64())
+	io.WriteString(h, "|seed="+strconv.FormatInt(key.Seed, 10))
+	// Sum appends the hash big-endian, so its hex is the %016x form.
+	return "r" + hex.EncodeToString(h.Sum(nil))
 }

@@ -149,19 +149,27 @@ type runRecord struct {
 	id  string
 	key experiments.RunKey
 
-	mu     sync.Mutex
-	status string // "running", "done" or "failed"
-	body   []byte // the deterministic 200 body, once done
-	errMsg string
+	mu       sync.Mutex
+	status   string // "running", "done" or "failed"
+	body     []byte // the deterministic 200 body, once done
+	degraded bool   // the run ended with a degraded accelerator, once done
+	errMsg   string
 }
 
 // settle records a run's resolution. Settling twice is harmless: the body is
 // deterministic, and a record re-run after a failure eviction may legally
 // move from "failed" to "done".
-func (r *runRecord) settle(status string, body []byte, errMsg string) {
+func (r *runRecord) settle(status string, body []byte, degraded bool, errMsg string) {
 	r.mu.Lock()
-	r.status, r.body, r.errMsg = status, body, errMsg
+	r.status, r.body, r.degraded, r.errMsg = status, body, degraded, errMsg
 	r.mu.Unlock()
+}
+
+// done returns the stored body and degraded flag of a record that is done.
+func (r *runRecord) done() (body []byte, degraded, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.body, r.degraded, r.status == "done"
 }
 
 // Server is the serving front-end. Build with New, mount Handler on any
@@ -485,16 +493,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mCompleted.Add(1)
-	body, degraded, merr := s.responseBody(id, key, out)
+	// Rendering settles the record here (not only in the completion hook) so
+	// a GET issued right after this response never observes a stale
+	// "running"; a memo hit finds it settled and serves the stored body.
+	body, degraded, merr := s.render(rec, out)
 	if merr != nil {
 		writeJSON(w, http.StatusInternalServerError, errBody{merr.Error()})
 		return
 	}
-	// Also settle the record here (not only in the completion hook) so a GET
-	// issued right after this response never observes a stale "running". The
-	// body is a pure function of (id, key, out), so the double write is
-	// byte-identical.
-	rec.settle("done", body, "")
 	if degraded {
 		w.Header().Set("X-Fssim-Degraded", "true")
 	}
@@ -550,23 +556,36 @@ func (s *Server) responseBody(id string, key experiments.RunKey, out experiments
 	return append(body, '\n'), degraded, nil
 }
 
+// render returns the 200 body and degraded flag of rec's completed run: the
+// stored ones once the record is done, otherwise rendered from out and
+// settled into rec. Both are pure functions of (id, key, outcome), so a
+// stored body is byte-identical to a fresh rendering.
+func (s *Server) render(rec *runRecord, out experiments.Outcome) ([]byte, bool, error) {
+	if body, degraded, ok := rec.done(); ok {
+		return body, degraded, nil
+	}
+	body, degraded, err := s.responseBody(rec.id, rec.key, out)
+	if err == nil {
+		rec.settle("done", body, degraded, "")
+	}
+	return body, degraded, err
+}
+
 // completeRun is the detached-execution completion hook: invoked exactly once
 // per distinct run (even if every waiter abandoned it), it feeds the run's
 // final outcome to the circuit breaker and settles the shared record.
 func (s *Server) completeRun(rec *runRecord, br *breaker, out experiments.Outcome, err error) {
 	if err != nil {
 		br.record(true)
-		rec.settle("failed", nil, err.Error())
+		rec.settle("failed", nil, false, err.Error())
 		return
 	}
-	degraded := s.degraded(out)
-	br.record(degraded && s.breakers.cfg.DegradeAsFailure)
-	body, _, merr := s.responseBody(rec.id, rec.key, out)
-	if merr != nil {
-		rec.settle("failed", nil, merr.Error())
-		return
+	// The breaker hears first: a client whose response just arrived may send
+	// its next request before this hook renders anything.
+	br.record(s.degraded(out) && s.breakers.cfg.DegradeAsFailure)
+	if _, _, merr := s.render(rec, out); merr != nil {
+		rec.settle("failed", nil, false, merr.Error())
 	}
-	rec.settle("done", body, "")
 }
 
 // handleGet is GET /v1/runs/{id}: the stored (byte-identical) result body of

@@ -3,12 +3,17 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"fssim/internal/core"
 	"fssim/internal/pltstore"
 )
 
@@ -166,5 +171,89 @@ func TestDrainFlushesWarm(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(dir, filepath.Base(paths[0]))); err != nil {
 			t.Errorf("restored snapshot not under the warm dir: %v", err)
 		}
+	}
+}
+
+// TestMemoHitServesStoredBody: a memo hit serves the first response's bytes
+// and degraded flag, and GET /v1/runs/{id} the same bytes. The run is made
+// degraded by restarting over a snapshot whose learner the watchdog demoted,
+// so its warm replay ends with an unhealthy accelerator.
+func TestMemoHitServesStoredBody(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	_, c1 := newTestServer(t, warmServerConfig(dir))
+	if _, err := c1.Run(ctx, accelRequest()); err != nil {
+		t.Fatal(err)
+	}
+	store := pltstore.Open(dir)
+	paths, err := store.List("srv-ok")
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("List = (%v, %v), want one snapshot", paths, err)
+	}
+	snap, err := store.LoadPath(paths[0])
+	if err != nil || len(snap.State.Learners) == 0 {
+		t.Fatalf("snapshot = %v (err %v), want one with a learner", snap, err)
+	}
+	// The phase numbering is core's own; take the value Health counts as
+	// degraded.
+	degraded := false
+	for ph := 0; ph < 8 && !degraded; ph++ {
+		snap.State.Learners[0].Phase = ph
+		acc := core.NewAccelerator(snap.State.Params)
+		degraded = acc.Import(snap.State) == nil && !acc.Health().Healthy()
+	}
+	if !degraded {
+		t.Fatal("no learner phase reads as degraded")
+	}
+	if err := store.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(warmServerConfig(dir))
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	body, err := json.Marshal(accelRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path string, reqBody []byte) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, hs.URL+path, bytes.NewReader(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: HTTP %d, %s (err %v)", method, path, resp.StatusCode, b, err)
+		}
+		return resp, b
+	}
+	first, firstBody := do(http.MethodPost, "/v1/runs", body)
+	hit, hitBody := do(http.MethodPost, "/v1/runs", body)
+	if st := srv.Scheduler().Stats(); st.WarmHits != 1 {
+		t.Fatalf("warm hits %d, want the first request replayed from the snapshot", st.WarmHits)
+	}
+	if c := hit.Header.Get("X-Fssim-Cache"); c != "hit" {
+		t.Fatalf("second request cache status %q, want hit", c)
+	}
+	for _, r := range []*http.Response{first, hit} {
+		if d := r.Header.Get("X-Fssim-Degraded"); d != "true" {
+			t.Errorf("%s response: X-Fssim-Degraded = %q, want true", r.Header.Get("X-Fssim-Cache"), d)
+		}
+	}
+	if !bytes.Equal(hitBody, firstBody) {
+		t.Errorf("memo hit body differs from the first response:\n%s\n%s", hitBody, firstBody)
+	}
+	var resp RunResponse
+	if err := json.Unmarshal(firstBody, &resp); err != nil || !resp.Degraded {
+		t.Fatalf("response %s does not report the degraded run (err %v)", firstBody, err)
+	}
+	if _, idBody := do(http.MethodGet, "/v1/runs/"+resp.ID, nil); !bytes.Equal(idBody, firstBody) {
+		t.Errorf("GET /v1/runs/%s body differs from the POST body", resp.ID)
 	}
 }
